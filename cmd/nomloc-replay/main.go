@@ -13,7 +13,7 @@
 //	nomloc-replay -journal dir -verify -json
 //
 // Exit status: 0 clean, 1 verification diffs, 2 unreadable or corrupt
-// journal / bad usage.
+// journal, one written in another format version, or bad usage.
 package main
 
 import (

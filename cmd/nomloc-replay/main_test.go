@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,5 +200,30 @@ func TestVerifyCorruptJournal(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "corrupt") {
 		t.Fatalf("stderr = %q", errOut.String())
+	}
+}
+
+// TestFormatVersionJournal: a segment written by another format version
+// is refused with exit 2 by both modes, never read as an empty journal.
+func TestFormatVersionJournal(t *testing.T) {
+	dir := buildJournal(t, false)
+	path := filepath.Join(dir, "wal-0000000000000001.seg")
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(buf[8:12], journal.FormatVersion+1)
+	binary.BigEndian.PutUint32(buf[20:24], crc32.Checksum(buf[:20], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-journal", dir}, {"-journal", dir, "-verify"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v exited %d, want 2: %s", args, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), "format version") {
+			t.Fatalf("%v stderr = %q", args, errOut.String())
+		}
 	}
 }

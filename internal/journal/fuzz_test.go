@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,10 +22,11 @@ func fuzzSegment(recs []Record) []byte {
 }
 
 // FuzzJournalRecover feeds arbitrary bytes to the recovery path as a
-// segment file. Recovery must never panic; when it succeeds, it must be
-// idempotent — a second Open of the recovered directory sees the same
-// state with nothing further truncated, which is exactly the crash-loop
-// safety property the server relies on.
+// segment file. Recovery must never panic, must agree with the read-only
+// ReadState, and must leave the file untouched when it fails; when it
+// succeeds, it must be idempotent — a second Open of the recovered
+// directory sees the same state with nothing further truncated, which is
+// exactly the crash-loop safety property the server relies on.
 func FuzzJournalRecover(f *testing.F) {
 	metaPayload, err := json.Marshal(testMeta())
 	if err != nil {
@@ -45,25 +48,46 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(flipped)
 	truncMid := append([]byte(nil), clean[:segmentHeaderSize+10]...)
 	f.Add(truncMid) // record cut mid-body
+	v2 := append([]byte(nil), clean...)
+	binary.BigEndian.PutUint32(v2[8:12], 2)
+	binary.BigEndian.PutUint32(v2[20:24], crc32.Checksum(v2[:20], castagnoli))
+	f.Add(v2) // valid header of another format version
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// The read-only walk must agree with the recovery that follows it.
+		readState, readStats, readErr := ReadState(dir)
 		j, err := Open(Options{Dir: dir, NoSync: true})
 		if err != nil {
-			// Rejection must be typed, never a panic or an opaque failure.
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNoMeta) {
+			// Rejection must be typed, never a panic or an opaque failure,
+			// and must leave the file as it was.
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNoMeta) && !errors.Is(err, ErrFormatVersion) {
 				t.Fatalf("Open: untyped recovery failure: %v", err)
 			}
+			if readErr == nil {
+				t.Fatalf("ReadState succeeded where Open failed with %v", err)
+			}
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("failed Open modified the segment (read err %v)", rerr)
+			}
 			return
+		}
+		if readErr != nil {
+			t.Fatalf("ReadState failed with %v where Open succeeded", readErr)
 		}
 		firstState, err := json.Marshal(j.State())
 		if err != nil {
 			t.Fatal(err)
 		}
 		firstSeq := j.LastSeq()
+		if readJSON, merr := json.Marshal(readState); merr != nil || !bytes.Equal(readJSON, firstState) || readStats.LastSeq != firstSeq {
+			t.Fatalf("ReadState (seq %d) disagrees with Open (seq %d):\n read %s\n open %s",
+				readStats.LastSeq, firstSeq, readJSON, firstState)
+		}
 		firstTrunc := j.Stats().TruncatedBytes
 		if err := j.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

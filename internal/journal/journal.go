@@ -148,81 +148,37 @@ func (j *Journal) now() time.Time {
 	return j.opts.Clock()
 }
 
-// recover loads the newest valid snapshot, replays the segment tail with
-// torn-write truncation, and opens the active segment for appending.
+// recoverLocked walks the directory, replays it, and only then repairs
+// the tail the walk reported — truncating the final segment's torn bytes,
+// or replacing it when its header is torn — before opening the active
+// segment for appending.
 func (j *Journal) recoverLocked() error {
-	segments, snapshots, err := listDir(j.opts.Dir)
+	st, stats, w, err := replayDir(j.opts.Dir)
 	if err != nil {
 		return err
 	}
+	j.state, j.stats = st, stats
+	j.nextSeq = stats.LastSeq + 1
+	j.fresh = stats.LastSeq == 0
+	j.segCount = w.segments
+	defer func() { j.stats.Segments = j.segCount }()
 
-	// Newest snapshot wins; an unreadable newest snapshot falls back to
-	// the next older one (its segments may still be present), and a
-	// journal with no usable snapshot replays from the beginning.
-	st := &State{}
-	for i := len(snapshots) - 1; i >= 0; i-- {
-		loaded, serr := loadSnapshot(filepath.Join(j.opts.Dir, snapshots[i].name))
-		if serr != nil {
-			continue
-		}
-		st = loaded
-		break
-	}
-	j.stats.SnapshotSeq = st.Seq
-
-	// Replay segments in order, skipping records the snapshot covers.
-	// Only the final segment may have a torn tail; anything invalid
-	// before that is interior corruption.
-	wantSeq := st.Seq + 1
-	lastIdx := len(segments) - 1
-	for i, entry := range segments {
-		if i < lastIdx && segments[i+1].seq <= wantSeq {
-			// Entire segment is below the snapshot floor (kept only
-			// because compaction was interrupted); skip without scanning.
-			continue
-		}
-		sc, serr := scanSegment(j.opts.Dir, entry, st.Seq)
-		if serr != nil {
-			return serr
-		}
-		if sc.torn > 0 && i < lastIdx {
-			return fmt.Errorf("%w: segment %s has %d invalid bytes before the journal tail",
-				ErrCorrupt, entry.name, sc.torn)
-		}
-		for _, rec := range sc.records {
-			if rec.Seq != wantSeq {
-				if i == lastIdx {
-					// A seq gap at the tail behaves like a torn tail.
-					break
-				}
-				return fmt.Errorf("%w: segment %s jumps to seq %d, want %d",
-					ErrCorrupt, entry.name, rec.Seq, wantSeq)
+	if t := w.tail; t != nil {
+		path := filepath.Join(j.opts.Dir, t.entry.name)
+		switch {
+		case t.goodSize == 0:
+			if rerr := os.Remove(path); rerr != nil {
+				return fmt.Errorf("journal: remove torn segment: %w", rerr)
 			}
-			if aerr := st.Apply(rec); aerr != nil {
-				return aerr
-			}
-			wantSeq++
-			j.stats.Records++
-		}
-		if sc.torn > 0 {
-			if terr := os.Truncate(filepath.Join(j.opts.Dir, entry.name), sc.goodSize); terr != nil {
+			j.segCount--
+		case t.torn > 0:
+			if terr := os.Truncate(path, t.goodSize); terr != nil {
 				return fmt.Errorf("journal: truncate torn tail: %w", terr)
 			}
-			j.stats.TruncatedBytes += sc.torn
 		}
-	}
-
-	j.state = st
-	j.nextSeq = wantSeq
-	j.stats.LastSeq = wantSeq - 1
-	j.fresh = wantSeq == 1
-
-	// Open the active segment: the last listed one when it is usable,
-	// otherwise a fresh segment starting at the next sequence.
-	if len(segments) > 0 {
-		last := segments[lastIdx]
-		path := filepath.Join(j.opts.Dir, last.name)
-		if info, ierr := os.Stat(path); ierr == nil && info.Size() >= segmentHeaderSize && last.seq <= wantSeq {
+		// Append to the final segment only when its records end exactly
+		// where the next append begins.
+		if t.goodSize > 0 && t.entry.seq+uint64(len(t.records)) == j.nextSeq {
 			f, oerr := os.OpenFile(path, os.O_RDWR, 0o644)
 			if oerr != nil {
 				return fmt.Errorf("journal: open segment: %w", oerr)
@@ -233,24 +189,12 @@ func (j *Journal) recoverLocked() error {
 				return fmt.Errorf("journal: seek segment: %w", errors.Join(serr, cerr))
 			}
 			j.seg = f
-			j.segFirst = last.seq
+			j.segFirst = t.entry.seq
 			j.segSize = size
-			j.segCount = len(segments)
-			j.stats.Segments = j.segCount
 			return nil
 		}
-		// The last segment is unusable (torn header): replace it.
-		if rerr := os.Remove(path); rerr != nil {
-			return fmt.Errorf("journal: remove torn segment: %w", rerr)
-		}
-		segments = segments[:lastIdx]
 	}
-	j.segCount = len(segments)
-	if err := j.createSegmentLocked(); err != nil {
-		return err
-	}
-	j.stats.Segments = j.segCount
-	return nil
+	return j.createSegmentLocked()
 }
 
 // createSegmentLocked creates and syncs a fresh segment for nextSeq and

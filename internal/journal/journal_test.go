@@ -459,12 +459,15 @@ func TestCrashHookBreaksJournal(t *testing.T) {
 	}
 }
 
-// TestVerifyCleanJournal: a journal whose round-solved record was produced
-// by the real solver verifies with zero diffs; corrupting the recorded
-// estimate yields exactly the diffs for the tampered fields.
-func TestVerifyCleanJournal(t *testing.T) {
-	dir := t.TempDir()
-	j := openTest(t, dir)
+// writeSolvedRounds writes a journal under dir with the given segment
+// size bound whose rounds 1..n were each solved by the real solver from
+// two fresh static reports, and returns the last round-solved record.
+func writeSolvedRounds(t *testing.T, dir string, segmentMaxBytes int64, n uint64) RoundSolved {
+	t.Helper()
+	j, err := Open(Options{Dir: dir, NoSync: true, SegmentMaxBytes: segmentMaxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
 	meta := testMeta()
 	if err := j.AppendMeta(meta); err != nil {
 		t.Fatal(err)
@@ -473,58 +476,91 @@ func TestVerifyCleanJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports := []*wire.CSIReport{
-		testReport(1, "ap1", 0, false, geom.Vec{X: 1, Y: 1}),
-		testReport(1, "ap2", 0, false, geom.Vec{X: 11, Y: 7}),
-	}
-	for _, rep := range reports {
-		if err := j.AppendReport("obj1", rep); err != nil {
+	var rs RoundSolved
+	for round := uint64(1); round <= n; round++ {
+		reports := []*wire.CSIReport{
+			testReport(round, "ap1", 0, false, geom.Vec{X: 1, Y: 1}),
+			testReport(round, "ap2", 0, false, geom.Vec{X: 11, Y: 7}),
+		}
+		for _, rep := range reports {
+			if err := j.AppendReport("obj1", rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := SolveReports(loc, reports)
+		if err != nil {
+			t.Fatalf("SolveReports: %v", err)
+		}
+		rs = RoundSolved{
+			Estimate: wire.Estimate{RoundID: round, ObjectID: "obj1", Pos: est.Position, RelaxCost: est.RelaxCost, NumAnchors: 2},
+			Anchors:  []AnchorRef{{APID: "ap1", SiteIndex: 0, RoundID: round}, {APID: "ap2", SiteIndex: 0, RoundID: round}},
+		}
+		if err := j.AppendRoundSolved(rs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	est, err := SolveReports(loc, reports)
-	if err != nil {
-		t.Fatalf("SolveReports: %v", err)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	rs := RoundSolved{
-		Estimate: wire.Estimate{RoundID: 1, ObjectID: "obj1", Pos: est.Position, RelaxCost: est.RelaxCost, NumAnchors: 2},
-		Anchors:  []AnchorRef{{APID: "ap1", SiteIndex: 0, RoundID: 1}, {APID: "ap2", SiteIndex: 0, RoundID: 1}},
+	return rs
+}
+
+// TestVerifyCleanJournal: a journal whose round-solved records were
+// produced by the real solver verifies with zero diffs — also after a
+// snapshot and compaction, where a round counts as skipped only when no
+// surviving segment holds its record — and corrupting a recorded estimate
+// yields exactly the diffs for the tampered fields.
+func TestVerifyCleanJournal(t *testing.T) {
+	cases := []struct {
+		name                      string
+		segmentMaxBytes           int64 // 1 puts every record in a segment of its own
+		snapshot                  bool  // snapshot the whole journal, then compact
+		rounds, resolved, skipped int
+	}{
+		{name: "segments only", rounds: 3, resolved: 3},
+		{name: "compacted, the active segment holds every round", snapshot: true, rounds: 3, resolved: 3},
+		{name: "compacted down to the last round", segmentMaxBytes: 1, snapshot: true, rounds: 1, resolved: 1, skipped: 2},
 	}
-	if err := j.AppendRoundSolved(rs); err != nil {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeSolvedRounds(t, dir, tc.segmentMaxBytes, 3)
+			if tc.snapshot {
+				snapshotDir(t, dir, true)
+			}
+			vr, err := Verify(dir)
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if !vr.Clean() {
+				t.Fatalf("clean journal has diffs: %+v", vr.Diffs)
+			}
+			if vr.Rounds != tc.rounds || vr.Resolved != tc.resolved || vr.Skipped != tc.skipped {
+				t.Fatalf("verify counters = rounds %d resolved %d skipped %d, want %d %d %d",
+					vr.Rounds, vr.Resolved, vr.Skipped, tc.rounds, tc.resolved, tc.skipped)
+			}
+		})
+	}
+
+	// Tamper with the recorded estimate: re-append a wrong solve.
+	dir := t.TempDir()
+	rs := writeSolvedRounds(t, dir, 0, 3)
+	j := openTest(t, dir)
+	bad := rs
+	bad.Estimate.RoundID = 4
+	bad.Estimate.Pos.X += 1
+	if err := j.AppendRoundSolved(bad); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	vr, err := Verify(dir)
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if !vr.Clean() {
-		t.Fatalf("clean journal has diffs: %+v", vr.Diffs)
-	}
-	if vr.Rounds != 1 || vr.Resolved != 1 || vr.Skipped != 0 {
-		t.Fatalf("verify counters = %+v", vr)
-	}
-
-	// Tamper with the recorded estimate: re-append a wrong solve.
-	j2 := openTest(t, dir)
-	bad := rs
-	bad.Estimate.RoundID = 2
-	bad.Estimate.Pos.X += 1
-	if err := j2.AppendRoundSolved(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	vr2, err := Verify(dir)
 	if err != nil {
 		t.Fatalf("Verify tampered: %v", err)
 	}
-	if len(vr2.Diffs) != 1 || vr2.Diffs[0].Field != "pos.x" || vr2.Diffs[0].RoundID != 2 {
-		t.Fatalf("tampered diffs = %+v", vr2.Diffs)
+	if len(vr.Diffs) != 1 || vr.Diffs[0].Field != "pos.x" || vr.Diffs[0].RoundID != 4 {
+		t.Fatalf("tampered diffs = %+v", vr.Diffs)
 	}
 }
 

@@ -116,6 +116,10 @@ var (
 	ErrNoMeta = errors.New("journal: no meta record")
 	// ErrRecordTooLarge guards the record length prefix.
 	ErrRecordTooLarge = errors.New("journal: record exceeds limit")
+	// ErrFormatVersion marks a segment or snapshot whose magic and
+	// checksum are valid but whose format version this build does not
+	// read. Every reader refuses such a directory and leaves it untouched.
+	ErrFormatVersion = errors.New("journal: unsupported format version")
 )
 
 // maxRecordBytes bounds one record (headroom over wire.MaxFrameBytes for

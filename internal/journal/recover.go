@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,9 +13,10 @@ import (
 	"github.com/nomloc/nomloc/internal/wire"
 )
 
-// MaxFinishedRounds bounds the finished-round memory rebuilt during
-// replay, matching the server's idempotent-ack window: the oldest entries
-// are forgotten first.
+// MaxFinishedRounds bounds the finished-round memory — the window in
+// which the live server absorbs duplicate and late reports idempotently,
+// and which replay rebuilds — so a recovered server remembers exactly the
+// rounds the live one did. The oldest entries are forgotten first.
 const MaxFinishedRounds = 1024
 
 // State is the durable server state a journal reconstructs: everything
@@ -180,9 +182,6 @@ func loadSnapshot(path string) (*State, error) {
 	if [8]byte(buf[:8]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: snapshot %s has wrong magic", ErrCorrupt, filepath.Base(path))
 	}
-	if v := binary.BigEndian.Uint32(buf[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: snapshot %s has version %d", ErrCorrupt, filepath.Base(path), v)
-	}
 	seq := binary.BigEndian.Uint64(buf[12:20])
 	bodyLen := int(binary.BigEndian.Uint32(buf[20:24]))
 	wantCRC := binary.BigEndian.Uint32(buf[24:28])
@@ -192,6 +191,9 @@ func loadSnapshot(path string) (*State, error) {
 	body := buf[snapshotHeaderSize:]
 	if crc32.Checksum(body, castagnoli) != wantCRC {
 		return nil, fmt.Errorf("%w: snapshot %s checksum mismatch", ErrCorrupt, filepath.Base(path))
+	}
+	if v := binary.BigEndian.Uint32(buf[8:12]); v != FormatVersion {
+		return nil, fmt.Errorf("%w: snapshot %s has version %d, want %d", ErrFormatVersion, filepath.Base(path), v, FormatVersion)
 	}
 	st := &State{}
 	if err := json.Unmarshal(body, st); err != nil {
@@ -221,40 +223,38 @@ func encodeSnapshot(st *State) ([]byte, error) {
 // segmentScan is the outcome of scanning one segment file.
 type segmentScan struct {
 	entry    fileEntry
-	records  []Record // records with seq > the caller's floor
-	goodSize int64    // byte offset after the last valid record
+	records  []Record // the valid records, contiguous from entry.seq
+	goodSize int64    // byte offset after the last valid record; 0 for a torn header
 	torn     int64    // bytes beyond goodSize (candidate truncation)
 }
 
 // scanSegment reads one segment file and parses records until the first
-// invalid byte. A floor of N skips records with seq ≤ N (already covered
-// by a snapshot) while still validating their checksums.
-func scanSegment(dir string, entry fileEntry, floor uint64) (*segmentScan, error) {
-	path := filepath.Join(dir, entry.name)
-	buf, err := os.ReadFile(path)
+// invalid byte or out-of-sequence record.
+func scanSegment(dir string, entry fileEntry) (*segmentScan, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, entry.name))
 	if err != nil {
 		return nil, fmt.Errorf("journal: read segment: %w", err)
 	}
 	sc := &segmentScan{entry: entry}
-	firstSeq, ok := parseSegmentHeader(buf)
-	if !ok || firstSeq != entry.seq {
+	if herr := checkSegmentHeader(buf, entry); herr != nil {
+		if errors.Is(herr, ErrFormatVersion) {
+			return nil, herr
+		}
 		// The whole file is unusable — a crash during segment creation
-		// (torn header) or foreign bytes. goodSize 0 lets the caller
-		// decide whether that is a clean tail or interior corruption.
+		// (torn header) or foreign bytes. goodSize 0 lets the walk decide
+		// whether that is a clean tail or interior corruption.
 		sc.torn = int64(len(buf))
 		return sc, nil
 	}
 	off := int64(segmentHeaderSize)
 	rest := buf[segmentHeaderSize:]
-	wantSeq := firstSeq
+	wantSeq := entry.seq
 	for len(rest) > 0 {
 		rec, n, ok := parseRecord(rest)
 		if !ok || rec.Seq != wantSeq {
 			break
 		}
-		if rec.Seq > floor {
-			sc.records = append(sc.records, rec)
-		}
+		sc.records = append(sc.records, rec)
 		off += int64(n)
 		rest = rest[n:]
 		wantSeq++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 
 	"github.com/nomloc/nomloc/internal/core"
@@ -68,7 +67,8 @@ type VerifyResult struct {
 	// Resolved counts rounds that were re-solved and compared.
 	Resolved int `json:"resolved"`
 	// Skipped counts rounds whose anchor reports were compacted away and
-	// could not be re-solved, plus estimates only present in a snapshot.
+	// could not be re-solved, plus snapshot estimates whose round-solved
+	// record no surviving segment holds.
 	Skipped int `json:"skipped"`
 	// TornBytes counts trailing bytes past the last valid record — a
 	// clean crash artifact, reported but not an error.
@@ -90,99 +90,78 @@ type anchorKey struct {
 	roundID   uint64
 }
 
+// roundKey identifies one solved round's estimate.
+type roundKey struct {
+	objectID string
+	roundID  uint64
+}
+
 // Verify re-reads a journal directory without modifying it, re-solves
 // every round-solved record whose anchor reports are still present, and
 // diffs the results against the recorded estimates bit-exactly. A clean
-// torn tail is tolerated (reported via TornBytes); interior corruption
-// returns ErrCorrupt.
+// torn tail is tolerated (reported via TornBytes); a directory the walk
+// refuses returns its error.
 //
 //nomloc:effect(globalread,io)
 func Verify(dir string) (*VerifyResult, error) {
-	segments, snapshots, err := listDir(dir)
-	if err != nil {
-		return nil, err
-	}
 	vr := &VerifyResult{Diffs: []Diff{}}
-
-	// Seed the anchor index (and meta) from the newest valid snapshot:
-	// after compaction it is the only source for reports older than the
-	// surviving segments.
+	// The snapshot seeds the anchor index (and meta): after compaction it
+	// is the only source for reports older than the surviving segments.
 	index := make(map[anchorKey]*wire.CSIReport)
-	for i := len(snapshots) - 1; i >= 0; i-- {
-		st, serr := loadSnapshot(filepath.Join(dir, snapshots[i].name))
-		if serr != nil {
-			continue
+	// Snapshot estimates whose round-solved record no surviving segment
+	// holds cannot be re-solved.
+	unsolved := make(map[roundKey]bool)
+	var loc *core.Localizer
+	w, err := walkDir(dir, func(snap *State) func(Record) error {
+		vr.Meta = snap.Meta
+		for _, e := range snap.Estimates {
+			unsolved[roundKey{e.ObjectID, e.RoundID}] = true
 		}
-		vr.Meta = st.Meta
-		vr.Skipped += len(st.Estimates)
-		for _, oh := range st.History {
+		for _, oh := range snap.History {
 			for _, rep := range oh.Reports {
 				index[anchorKey{oh.ObjectID, rep.APID, rep.SiteIndex, rep.RoundID}] = rep
 			}
 		}
-		break
-	}
-
-	// Scan every surviving segment from its first record; only the final
-	// segment may carry a torn tail.
-	var loc *core.Localizer
-	var wantSeq uint64
-	for i, entry := range segments {
-		sc, serr := scanSegment(dir, entry, 0)
-		if serr != nil {
-			return nil, serr
-		}
-		if sc.torn > 0 && i < len(segments)-1 {
-			return nil, fmt.Errorf("%w: segment %s has %d invalid bytes before the journal tail",
-				ErrCorrupt, entry.name, sc.torn)
-		}
-		vr.TornBytes += sc.torn
-		if wantSeq == 0 {
-			wantSeq = entry.seq
-		}
-		for _, rec := range sc.records {
-			if rec.Seq != wantSeq {
-				if i == len(segments)-1 {
-					break
-				}
-				return nil, fmt.Errorf("%w: segment %s jumps to seq %d, want %d",
-					ErrCorrupt, entry.name, rec.Seq, wantSeq)
-			}
-			wantSeq++
+		return func(rec Record) error {
 			vr.Records++
 			switch rec.Kind {
 			case KindMeta:
-				if derr := decodeJSON(rec.Payload, &vr.Meta, "meta"); derr != nil {
-					return nil, derr
-				}
+				return decodeJSON(rec.Payload, &vr.Meta, "meta")
 			case KindSessionOpen, KindSessionClose:
 				var ev SessionEvent
-				if derr := decodeJSON(rec.Payload, &ev, "session"); derr != nil {
-					return nil, derr
-				}
+				return decodeJSON(rec.Payload, &ev, "session")
 			case KindReport:
 				objectID, rep, derr := decodeReportPayload(rec.Payload)
 				if derr != nil {
-					return nil, derr
+					return derr
 				}
 				index[anchorKey{objectID, rep.APID, rep.SiteIndex, rep.RoundID}] = rep
 			case KindRoundSolved:
 				var rs RoundSolved
 				if derr := decodeJSON(rec.Payload, &rs, "round_solved"); derr != nil {
-					return nil, derr
+					return derr
 				}
 				vr.Rounds++
+				delete(unsolved, roundKey{rs.Estimate.ObjectID, rs.Estimate.RoundID})
 				if loc == nil {
-					loc, err = localizerFromMeta(vr.Meta)
-					if err != nil {
-						return nil, err
+					var lerr error
+					if loc, lerr = localizerFromMeta(vr.Meta); lerr != nil {
+						return lerr
 					}
 				}
 				verifyRound(vr, loc, index, rs)
 			default:
-				return nil, fmt.Errorf("%w: unknown record kind %d at seq %d", ErrCorrupt, rec.Kind, rec.Seq)
+				return fmt.Errorf("%w: unknown record kind %d at seq %d", ErrCorrupt, rec.Kind, rec.Seq)
 			}
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	vr.Skipped += len(unsolved)
+	if w.tail != nil {
+		vr.TornBytes = w.tail.torn
 	}
 	if vr.Records > 0 && len(vr.Meta.AreaVertices) == 0 {
 		return nil, ErrNoMeta
@@ -255,58 +234,15 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// ReadState performs a read-only recovery of dir — the same snapshot+tail
+// ReadState performs a read-only recovery of dir — the same walk and
 // replay Open runs, without truncating torn tails or opening a segment
 // for appending. Replay tooling uses it to summarize a journal that a
 // live server may still own.
 //
 //nomloc:effect(globalread,io)
 func ReadState(dir string) (*State, RecoveryStats, error) {
-	segments, snapshots, err := listDir(dir)
-	if err != nil {
-		return nil, RecoveryStats{}, err
-	}
-	st := &State{}
-	for i := len(snapshots) - 1; i >= 0; i-- {
-		loaded, serr := loadSnapshot(filepath.Join(dir, snapshots[i].name))
-		if serr != nil {
-			continue
-		}
-		st = loaded
-		break
-	}
-	stats := RecoveryStats{SnapshotSeq: st.Seq, Segments: len(segments)}
-	wantSeq := st.Seq + 1
-	for i, entry := range segments {
-		if i < len(segments)-1 && segments[i+1].seq <= wantSeq {
-			continue
-		}
-		sc, serr := scanSegment(dir, entry, st.Seq)
-		if serr != nil {
-			return nil, stats, serr
-		}
-		if sc.torn > 0 && i < len(segments)-1 {
-			return nil, stats, fmt.Errorf("%w: segment %s has %d invalid bytes before the journal tail",
-				ErrCorrupt, entry.name, sc.torn)
-		}
-		for _, rec := range sc.records {
-			if rec.Seq != wantSeq {
-				if i == len(segments)-1 {
-					break
-				}
-				return nil, stats, fmt.Errorf("%w: segment %s jumps to seq %d, want %d",
-					ErrCorrupt, entry.name, rec.Seq, wantSeq)
-			}
-			if aerr := st.Apply(rec); aerr != nil {
-				return nil, stats, aerr
-			}
-			wantSeq++
-			stats.Records++
-		}
-		stats.TruncatedBytes += sc.torn
-	}
-	stats.LastSeq = wantSeq - 1
-	return st, stats, nil
+	st, stats, _, err := replayDir(dir)
+	return st, stats, err
 }
 
 // DirSize sums the journal directory's file sizes — replay tooling's

@@ -11,8 +11,9 @@ import (
 	"strings"
 )
 
-// On-disk identifiers. The magic strings double as format version gates:
-// an incompatible layout change bumps the trailing digits.
+// On-disk identifiers. The magic strings never change: a file with any
+// other magic reads as torn or foreign bytes, so FormatVersion is the only
+// gate between layouts.
 var (
 	segmentMagic  = [8]byte{'N', 'L', 'J', 'S', 'E', 'G', '0', '1'}
 	snapshotMagic = [8]byte{'N', 'L', 'J', 'S', 'N', 'P', '0', '1'}
@@ -54,22 +55,22 @@ func encodeSegmentHeader(firstSeq uint64) []byte {
 	return buf
 }
 
-// parseSegmentHeader validates a segment preamble and returns its first
-// sequence number. ok is false for short, foreign, or corrupted headers.
-func parseSegmentHeader(buf []byte) (firstSeq uint64, ok bool) {
-	if len(buf) < segmentHeaderSize {
-		return 0, false
+// checkSegmentHeader validates entry's segment preamble. A short,
+// foreign or corrupted header, or one naming another first seq than the
+// file name, is ErrCorrupt; a valid header of another format version is
+// ErrFormatVersion.
+func checkSegmentHeader(buf []byte, entry fileEntry) error {
+	if len(buf) < segmentHeaderSize || [8]byte(buf[:8]) != segmentMagic ||
+		crc32.Checksum(buf[:20], castagnoli) != binary.BigEndian.Uint32(buf[20:24]) {
+		return fmt.Errorf("%w: segment %s has a bad header", ErrCorrupt, entry.name)
 	}
-	if [8]byte(buf[:8]) != segmentMagic {
-		return 0, false
+	if v := binary.BigEndian.Uint32(buf[8:12]); v != FormatVersion {
+		return fmt.Errorf("%w: segment %s has version %d, want %d", ErrFormatVersion, entry.name, v, FormatVersion)
 	}
-	if binary.BigEndian.Uint32(buf[8:12]) != FormatVersion {
-		return 0, false
+	if firstSeq := binary.BigEndian.Uint64(buf[12:20]); firstSeq != entry.seq {
+		return fmt.Errorf("%w: segment %s header starts at seq %d", ErrCorrupt, entry.name, firstSeq)
 	}
-	if crc32.Checksum(buf[:20], castagnoli) != binary.BigEndian.Uint32(buf[20:24]) {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(buf[12:20]), true
+	return nil
 }
 
 // fileEntry is one journal file found on disk.

@@ -27,12 +27,11 @@ var ErrTailGap = errors.New("journal: tail cursor below oldest segment")
 // the mutable tail).
 type Tail struct {
 	dir     string
-	limit   func() uint64 // durable floor; 0 limit func means unbounded
+	limit   func() uint64 // durable floor: the last seq Next may return
 	wantSeq uint64        // seq Next returns next
 
-	f        *os.File // open segment (nil until first Next)
-	segFirst uint64
-	off      int64
+	f   *os.File // open segment (nil until first Next)
+	off int64
 
 	hdr [recordHeaderSize]byte
 	buf []byte
@@ -44,23 +43,22 @@ type Tail struct {
 // rolls, and compactions above its cursor; it reads files directly and
 // takes no journal locks on the hot path.
 func (j *Journal) Tail(afterSeq uint64) (*Tail, error) {
-	return newTail(j.opts.Dir, afterSeq, j.LastSeq)
+	return &Tail{dir: j.opts.Dir, limit: j.LastSeq, wantSeq: afterSeq + 1}, nil
 }
 
-// TailDir opens an unbounded follower over a journal directory without a
-// live Journal — the post-mortem drain path: after a primary dies, its
-// surviving directory is streamed to the standby up to the durable tail.
-// Iteration ends (Next returns done) at the first torn or missing record,
-// mirroring recovery's truncation point.
+// TailDir opens a follower over a journal directory without a live
+// Journal — the post-mortem drain path: after a primary dies, its
+// surviving directory is streamed to the standby. The directory is walked
+// once, by the same rules recovery applies, and the Tail is bounded by the
+// last committed seq the walk found: a directory recovery would refuse
+// returns the walk's error, and Next reports done where recovery would
+// truncate.
 func TailDir(dir string, afterSeq uint64) (*Tail, error) {
-	return newTail(dir, afterSeq, nil)
-}
-
-func newTail(dir string, afterSeq uint64, limit func() uint64) (*Tail, error) {
-	if dir == "" {
-		return nil, errors.New("journal: tail needs a directory")
+	w, err := walkDir(dir, nil)
+	if err != nil {
+		return nil, err
 	}
-	return &Tail{dir: dir, limit: limit, wantSeq: afterSeq + 1}, nil
+	return &Tail{dir: dir, limit: func() uint64 { return w.lastSeq }, wantSeq: afterSeq + 1}, nil
 }
 
 // Seq returns the sequence number of the last record Next returned (the
@@ -68,12 +66,11 @@ func newTail(dir string, afterSeq uint64, limit func() uint64) (*Tail, error) {
 func (t *Tail) Seq() uint64 { return t.wantSeq - 1 }
 
 // Next returns the next record at or below the durability limit. done is
-// true when the tail is caught up (or, for TailDir, the durable end was
-// reached); the Tail stays usable and a later Next resumes where this one
-// stopped. An error means interior corruption or an unreadable directory.
+// true when the tail is caught up with the limit; the Tail stays usable
+// and a later Next resumes where this one stopped. An error means
+// interior corruption or an unreadable directory.
 func (t *Tail) Next() (Record, bool, error) {
-	bounded := t.limit != nil
-	if bounded && t.wantSeq > t.limit() {
+	if t.wantSeq > t.limit() {
 		return Record{}, true, nil
 	}
 	for {
@@ -83,12 +80,9 @@ func (t *Tail) Next() (Record, bool, error) {
 				return Record{}, false, err
 			}
 			if !found {
-				if bounded {
-					// The limit says the record is durable, but no
-					// segment holds it: the directory lost its tail.
-					return Record{}, false, fmt.Errorf("%w: no segment holds seq %d", ErrCorrupt, t.wantSeq)
-				}
-				return Record{}, true, nil
+				// The limit says the record is durable, but no segment
+				// holds it: the directory lost its tail.
+				return Record{}, false, fmt.Errorf("%w: no segment holds seq %d", ErrCorrupt, t.wantSeq)
 			}
 		}
 		rec, n, ok, err := t.read()
@@ -96,23 +90,11 @@ func (t *Tail) Next() (Record, bool, error) {
 			return Record{}, false, err
 		}
 		if !ok {
-			// No complete record at the offset. Inside the limit that
-			// means the segment rolled — the record continues in the next
-			// file. Unbounded, it is the durable end.
+			// No complete record at the offset, yet the limit says it is
+			// durable: the segment rolled, and the record starts the next
+			// file.
 			if cerr := t.closeSegment(); cerr != nil {
 				return Record{}, false, cerr
-			}
-			if !bounded {
-				// Re-check for a freshly rolled segment before declaring
-				// the end: the record may start a new file.
-				found, lerr := t.locateExact()
-				if lerr != nil {
-					return Record{}, false, lerr
-				}
-				if !found {
-					return Record{}, true, nil
-				}
-				continue
 			}
 			found, lerr := t.locateExact()
 			if lerr != nil {
@@ -199,16 +181,10 @@ func (t *Tail) openSegment(entry fileEntry) error {
 		cerr := f.Close()
 		return fmt.Errorf("%w: tail segment %s header: %v", ErrCorrupt, entry.name, errors.Join(rerr, cerr))
 	}
-	firstSeq, ok := parseSegmentHeader(hdr)
-	if !ok || firstSeq != entry.seq {
-		cerr := f.Close()
-		if cerr != nil {
-			return fmt.Errorf("%w: tail segment %s has a bad header (close: %v)", ErrCorrupt, entry.name, cerr)
-		}
-		return fmt.Errorf("%w: tail segment %s has a bad header", ErrCorrupt, entry.name)
+	if herr := checkSegmentHeader(hdr, entry); herr != nil {
+		return errors.Join(herr, f.Close())
 	}
 	t.f = f
-	t.segFirst = firstSeq
 	t.off = segmentHeaderSize
 	return nil
 }

@@ -108,11 +108,6 @@ var (
 	ErrNotStandby = errors.New("server: not a standby")
 )
 
-// maxFinishedRounds bounds the finished-round memory used to absorb
-// duplicate and late CSI reports idempotently; the oldest entries are
-// forgotten first.
-const maxFinishedRounds = 1024
-
 // Server is the localization server. Create with New, run with Serve, stop
 // with Shutdown.
 type Server struct {
@@ -727,7 +722,7 @@ func (s *Server) finalizeRound(roundID uint64, timeout bool) {
 	delete(s.rounds, roundID)
 	s.finished[roundID] = struct{}{}
 	s.finishedQ = append(s.finishedQ, roundID)
-	if len(s.finishedQ) > maxFinishedRounds {
+	if len(s.finishedQ) > journal.MaxFinishedRounds {
 		delete(s.finished, s.finishedQ[0])
 		s.finishedQ = s.finishedQ[1:]
 	}
