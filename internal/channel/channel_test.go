@@ -360,6 +360,52 @@ func TestMeasureBatch(t *testing.T) {
 	}
 }
 
+// TestMeasureBatchMatchesPerPacket pins MeasureBatch bit for bit against
+// the per-packet definition — an RSSI draw, then Measure at antenna
+// i mod NumAntennas, on one RNG — over random links in both test rooms,
+// for packet counts below, at and above the antenna count.
+func TestMeasureBatchMatchesPerPacket(t *testing.T) {
+	reference := func(s *Simulator, tx, rx geom.Vec, packets int, rng *rand.Rand) []float64 {
+		var bits []float64
+		rssi := s.RSSI(tx, rx)
+		for i := 0; i < packets; i++ {
+			bits = append(bits, rssi+rng.NormFloat64()*1.5)
+			for _, c := range s.Measure(tx, s.antennaPos(rx, i%s.par.NumAntennas), rng) {
+				bits = append(bits, real(c), imag(c))
+			}
+		}
+		return bits
+	}
+	pick := rand.New(rand.NewSource(80))
+	point := func() geom.Vec { return geom.V(0.5+19*pick.Float64(), 0.5+9*pick.Float64()) }
+	for trial := 0; trial < 80; trial++ {
+		sim := openRoom(t)
+		if trial%2 == 1 {
+			sim = walledRoom(t)
+		}
+		tx, rx := point(), point()
+		packets := []int{1, 2, 3, 7, 25}[trial%5]
+		seed := int64(trial)
+		want := reference(sim, tx, rx, packets, rand.New(rand.NewSource(seed)))
+		b := sim.MeasureBatch("ap", 0, tx, rx, packets, time.Unix(0, 0), rand.New(rand.NewSource(seed)))
+		var got []float64
+		for _, smp := range b.Samples {
+			got = append(got, smp.RSSI)
+			for _, c := range smp.CSI {
+				got = append(got, real(c), imag(c))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d values, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: value %d = %v, want %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDelayProfileFig3Shape(t *testing.T) {
 	// Reproduces the Fig. 3 dichotomy: under LOS the earliest significant
 	// arrival carries the peak; under NLOS the direct tap is attenuated

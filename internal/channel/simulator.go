@@ -359,6 +359,13 @@ func (s *Simulator) Response(tx, rx geom.Vec) csi.Vector {
 // noise floor, with a common random phase-jitter rotation.
 func (s *Simulator) Measure(tx, rx geom.Vec, rng *rand.Rand) csi.Vector {
 	h := s.Response(tx, rx)
+	s.addNoise(h, rng)
+	return h
+}
+
+// addNoise turns the noiseless response h into one capture, in place: a
+// common phase-jitter rotation, then per-subcarrier noise.
+func (s *Simulator) addNoise(h csi.Vector, rng *rand.Rand) {
 	noiseAmp := dsp.AmplitudeFromDB(s.par.NoiseFloorDBm)
 	jitter := cmplx.Exp(complex(0, rng.NormFloat64()*s.par.PhaseJitterRad))
 	for k := range h {
@@ -366,7 +373,6 @@ func (s *Simulator) Measure(tx, rx geom.Vec, rng *rand.Rand) csi.Vector {
 			complex(noiseAmp/math.Sqrt2, 0)
 		h[k] = h[k]*jitter + n
 	}
-	return h
 }
 
 // RSSI returns the coarse received signal strength for the link in dBm:
@@ -388,7 +394,8 @@ func (s *Simulator) RSSI(tx, rx geom.Vec) float64 {
 // MeasureBatch captures a burst of packets CSI samples for the link,
 // labeled with the capturing AP and site index. now is used as the base
 // timestamp; packets are spaced 1 ms apart, matching the paper's
-// millisecond PING cadence.
+// millisecond PING cadence. Packet i is what Measure would capture at
+// receive antenna i mod NumAntennas, drawing its RSSI jitter first.
 func (s *Simulator) MeasureBatch(apID string, siteIndex int, tx, rx geom.Vec, packets int, now time.Time, rng *rand.Rand) csi.Batch {
 	b := csi.Batch{APID: apID, SiteIndex: siteIndex}
 	if packets <= 0 {
@@ -400,13 +407,22 @@ func (s *Simulator) MeasureBatch(apID string, siteIndex int, tx, rx geom.Vec, pa
 	if nAnt < 1 {
 		nAnt = 1
 	}
+	// The noiseless response depends only on the antenna, so each is
+	// traced once and every packet adds its noise to a copy.
+	responses := make([]csi.Vector, min(nAnt, packets))
+	for k := range responses {
+		responses[k] = s.Response(tx, s.antennaPos(rx, k))
+	}
 	for i := 0; i < packets; i++ {
+		sampleRSSI := rssi + rng.NormFloat64()*1.5
+		h := responses[i%nAnt].Clone()
+		s.addNoise(h, rng)
 		b.Samples = append(b.Samples, csi.Sample{
 			APID:       apID,
 			Seq:        uint64(i),
 			CapturedAt: now.Add(time.Duration(i) * time.Millisecond),
-			RSSI:       rssi + rng.NormFloat64()*1.5,
-			CSI:        s.Measure(tx, s.antennaPos(rx, i%nAnt), rng),
+			RSSI:       sampleRSSI,
+			CSI:        h,
 		})
 	}
 	return b

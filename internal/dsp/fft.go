@@ -109,44 +109,54 @@ func fftRadix2InPlace(a []complex128, inverse bool) {
 // transform: the DFT becomes a convolution, evaluated with power-of-two
 // FFTs of length ≥ 2N−1.
 func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
+	chirp, filter := chirpPlan(len(x), inverse)
+	out := make([]complex128, len(x))
+	chirpApply(x, chirp, filter, make([]complex128, len(filter)), out)
+	return out
+}
+
+// chirpPlan builds the input-independent half of a length-n Bluestein
+// transform: the chirp and the FFT of the chirp filter.
+func chirpPlan(n int, inverse bool) (chirp, filter []complex128) {
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
 	// Chirp w[k] = exp(sign·jπk²/N). Reduce k² mod 2N first to keep the
 	// angle argument small and the chirp numerically exact for large N.
-	chirp := make([]complex128, n)
+	chirp = make([]complex128, n)
 	for k := 0; k < n; k++ {
 		k2 := (int64(k) * int64(k)) % int64(2*n)
 		angle := sign * math.Pi * float64(k2) / float64(n)
 		chirp[k] = cmplx.Exp(complex(0, angle))
 	}
-
 	m := NextPowerOfTwo(2*n - 1)
-	a := make([]complex128, m)
-	b := make([]complex128, m)
+	filter = make([]complex128, m)
 	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		b[k] = cmplx.Conj(chirp[k])
+		filter[k] = cmplx.Conj(chirp[k])
 	}
 	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(chirp[k])
+		filter[m-k] = cmplx.Conj(chirp[k])
 	}
+	fftRadix2InPlace(filter, false)
+	return chirp, filter
+}
 
+// chirpApply runs the input-dependent half of a Bluestein transform of x
+// into out. a is scratch of len(filter), zero on entry.
+func chirpApply(x, chirp, filter, a, out []complex128) {
+	for k := range x {
+		a[k] = x[k] * chirp[k]
+	}
 	fftRadix2InPlace(a, false)
-	fftRadix2InPlace(b, false)
 	for i := range a {
-		a[i] *= b[i]
+		a[i] *= filter[i]
 	}
 	fftRadix2InPlace(a, true)
-	invM := complex(1/float64(m), 0)
-
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
+	invM := complex(1/float64(len(a)), 0)
+	for k := range out {
 		out[k] = a[k] * invM * chirp[k]
 	}
-	return out
 }
 
 // DFTNaive computes the DFT by direct O(N²) summation. It exists as a

@@ -48,14 +48,46 @@ func MaxTap(profile []float64) (idx int, val float64) {
 // DirectPathPower is the composed PDP estimator: CSI → CIR → max tap power.
 // It returns the estimated direct-path power and the tap index it came
 // from (the index maps to delay via the sample period 1/bandwidth).
+//
+// At plannedN subcarriers it runs the same operations as
+// PowerDelayProfile and MaxTap, in the same order, on the package's
+// planned inverse transform and stack buffers, so it allocates nothing.
 func DirectPathPower(csi []complex128) (power float64, tap int, err error) {
-	profile, err := PowerDelayProfile(csi)
-	if err != nil {
-		return 0, 0, err
+	if len(csi) != plannedN {
+		profile, err := PowerDelayProfile(csi)
+		if err != nil {
+			return 0, 0, err
+		}
+		tap, power = MaxTap(profile)
+		return power, tap, nil
 	}
-	tap, power = MaxTap(profile)
+	var a [plannedM]complex128
+	var cir [plannedN]complex128
+	chirpApply(csi, plannedChirp, plannedFilter, a[:], cir[:])
+	invN := complex(1/float64(plannedN), 0)
+	tap, power = -1, math.Inf(-1)
+	for i, c := range cir {
+		c *= invN
+		re, im := real(c), imag(c)
+		if p := re*re + im*im; p > power {
+			tap, power = i, p
+		}
+	}
 	return power, tap, nil
 }
+
+// plannedN is the default subcarrier count (csi.DefaultNumSubcarriers),
+// whose inverse Bluestein transform is planned at package init;
+// plannedM is its power-of-two convolution length.
+const (
+	plannedN = 30
+	plannedM = 64
+)
+
+// plannedChirp and plannedFilter are the length-plannedN inverse plan.
+// They are written once here and only read afterwards, so the solve path
+// stays free of global writes.
+var plannedChirp, plannedFilter = chirpPlan(plannedN, true)
 
 // TotalPower returns Σ|H[k]|² — the wideband received power, the RSS-like
 // quantity coarse baselines use.

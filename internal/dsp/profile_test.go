@@ -296,3 +296,43 @@ func BenchmarkPowerDelayProfile(b *testing.B) {
 		}
 	}
 }
+
+// TestDirectPathPowerPlanned pins the planned length-30 path bit for bit
+// against the unplanned PowerDelayProfile + MaxTap composition, on random
+// vectors spanning six decades of amplitude and on degenerate ones.
+func TestDirectPathPowerPlanned(t *testing.T) {
+	if len(plannedFilter) != plannedM || len(plannedChirp) != plannedN {
+		t.Fatalf("plan sizes %d/%d, want %d/%d", len(plannedChirp), len(plannedFilter), plannedN, plannedM)
+	}
+	reference := func(x []complex128) (float64, int) {
+		profile, err := PowerDelayProfile(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap, power := MaxTap(profile)
+		return power, tap
+	}
+	rng := rand.New(rand.NewSource(30))
+	vectors := [][]complex128{make([]complex128, plannedN)} // all zero
+	nan := make([]complex128, plannedN)
+	nan[3] = complex(math.NaN(), 0)
+	vectors = append(vectors, nan)
+	for i := 0; i < 20000; i++ {
+		scale := math.Pow(10, -3+6*rng.Float64())
+		v := make([]complex128, plannedN)
+		for k := range v {
+			v[k] = complex(scale*rng.NormFloat64(), scale*rng.NormFloat64())
+		}
+		vectors = append(vectors, v)
+	}
+	for i, v := range vectors {
+		power, tap, err := DirectPathPower(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPower, wantTap := reference(v)
+		if math.Float64bits(power) != math.Float64bits(wantPower) || tap != wantTap {
+			t.Fatalf("vector %d: planned (%v, %d), reference (%v, %d)", i, power, tap, wantPower, wantTap)
+		}
+	}
+}

@@ -48,10 +48,14 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(flipped)
 	truncMid := append([]byte(nil), clean[:segmentHeaderSize+10]...)
 	f.Add(truncMid) // record cut mid-body
-	v2 := append([]byte(nil), clean...)
-	binary.BigEndian.PutUint32(v2[8:12], 2)
-	binary.BigEndian.PutUint32(v2[20:24], crc32.Checksum(v2[:20], castagnoli))
-	f.Add(v2) // valid header of another format version
+	// A newer format version, and version 1, the one before the binary
+	// wire codec.
+	for _, v := range []uint32{FormatVersion + 1, 1} {
+		other := append([]byte(nil), clean...)
+		binary.BigEndian.PutUint32(other[8:12], v)
+		binary.BigEndian.PutUint32(other[20:24], crc32.Checksum(other[:20], castagnoli))
+		f.Add(other) // valid header of another format version
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -20,7 +20,9 @@ var (
 )
 
 // FormatVersion is the journal format this package reads and writes.
-const FormatVersion uint32 = 1
+// Version 2 stores report records as binary wire frames; a version-1
+// directory (JSON frames) is refused with ErrFormatVersion.
+const FormatVersion uint32 = 2
 
 // segmentHeaderSize is the fixed segment preamble:
 //

@@ -115,19 +115,38 @@ func TestReadersAgree(t *testing.T) {
 			wantSeq: 5,
 		},
 		{
-			name: "segment version 2",
+			name: "segment of a newer version",
 			build: func(t *testing.T, dir string) {
 				writeFixture(t, dir, Options{})
-				setVersion(t, segmentPath(dir, 1), 2)
+				setVersion(t, segmentPath(dir, 1), FormatVersion+1)
 			},
 			wantErr: ErrFormatVersion,
 		},
 		{
-			name: "snapshot version 2",
+			name: "snapshot of a newer version",
 			build: func(t *testing.T, dir string) {
 				writeFixture(t, dir, Options{})
 				snapshotDir(t, dir, false)
-				setVersion(t, newestSnapshot(t, dir), 2)
+				setVersion(t, newestSnapshot(t, dir), FormatVersion+1)
+			},
+			wantErr: ErrFormatVersion,
+		},
+		{
+			// A directory written before the binary wire codec: its report
+			// records hold JSON frames this build cannot decode.
+			name: "segment version 1",
+			build: func(t *testing.T, dir string) {
+				writeFixture(t, dir, Options{})
+				setVersion(t, segmentPath(dir, 1), 1)
+			},
+			wantErr: ErrFormatVersion,
+		},
+		{
+			name: "snapshot version 1",
+			build: func(t *testing.T, dir string) {
+				writeFixture(t, dir, Options{})
+				snapshotDir(t, dir, false)
+				setVersion(t, newestSnapshot(t, dir), 1)
 			},
 			wantErr: ErrFormatVersion,
 		},

@@ -7,8 +7,13 @@ package replica
 // internal/server and internal/chaos).
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -330,6 +335,82 @@ func TestSenderRecordTooLarge(t *testing.T) {
 	}
 	if err := <-runSender(snd); !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("Run = %v, want ErrRecordTooLarge", err)
+	}
+}
+
+// TestSenderRefusedDirIsTerminal: a directory every journal reader
+// refuses — another format version, or corruption before its final
+// segment — stops a dir-mode sender at once; retrying would handshake
+// forever without moving a record.
+func TestSenderRefusedDirIsTerminal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		want   error
+	}{
+		{"format version", func(t *testing.T, dir string) {
+			rewriteSegment(t, dir, 1, func(buf []byte) {
+				binary.BigEndian.PutUint32(buf[8:12], journal.FormatVersion-1)
+				binary.BigEndian.PutUint32(buf[20:24], crc32.Checksum(buf[:20], crc32.MakeTable(crc32.Castagnoli)))
+			})
+		}, journal.ErrFormatVersion},
+		{"corrupt interior", func(t *testing.T, dir string) {
+			rewriteSegment(t, dir, 1, func(buf []byte) { buf[len(buf)-1] ^= 0x40 })
+		}, journal.ErrCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := journal.Open(journal.Options{Dir: dir, NoSync: true, SegmentMaxBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendMeta(journal.Meta{ServerID: "svc", MaxNomadicSites: 4}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := j.AppendReport("obj1", &wire.CSIReport{RoundID: uint64(i + 1), APID: "ap1"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			f := newFakeStandby(t, 1)
+			snd, err := NewSender(Config{
+				Dir: dir, Addr: f.addr(), ServerID: "svc", Epoch: 1,
+				Poll: time.Millisecond, Seed: 42, Sleep: func(time.Duration) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snd.Close()
+			select {
+			case err := <-runSender(snd):
+				if !errors.Is(err, tc.want) {
+					t.Errorf("Run = %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Run still retrying after 5 s (%d hellos)", f.helloCount())
+			}
+			if f.helloCount() != 1 {
+				t.Errorf("refused directory retried: %d hellos", f.helloCount())
+			}
+		})
+	}
+}
+
+// rewriteSegment applies edit to the segment file starting at firstSeq.
+func rewriteSegment(t *testing.T, dir string, firstSeq uint64, edit func([]byte)) {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", firstSeq))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(buf)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -22,9 +22,8 @@ var (
 	ErrFenced = errors.New("replica: fenced by a higher epoch")
 	// ErrSenderClosed is returned by Run after Close.
 	ErrSenderClosed = errors.New("replica: sender closed")
-	// ErrRecordTooLarge marks a single journal record too big to fit a
-	// replication frame even alone (payloads cross the envelope as
-	// base64, which inflates them by 4/3).
+	// ErrRecordTooLarge marks a single journal record larger than
+	// BatchBytes, so no batch can carry it.
 	ErrRecordTooLarge = errors.New("replica: record exceeds replication frame budget")
 )
 
@@ -61,8 +60,8 @@ type Config struct {
 	Dialer func(addr string) (net.Conn, error)
 	// BatchMax caps records per ReplBatch (default 64).
 	BatchMax int
-	// BatchBytes caps the summed payload bytes per batch (default 4 MiB;
-	// base64 inflation keeps the frame under wire.MaxFrameBytes).
+	// BatchBytes caps the summed payload bytes per batch (default 4 MiB,
+	// well under wire.MaxFrameBytes: payloads ride as raw bytes).
 	BatchBytes int
 	// Poll is the sleep between tail checks when caught up (default
 	// 20 ms).
@@ -139,9 +138,11 @@ func NewSender(cfg Config) (*Sender, error) {
 
 // Run streams the journal to the standby, reconnecting with capped
 // exponential backoff on transport loss, until Close (returns
-// ErrSenderClosed), a fencing rejection (returns ErrFenced), or — in Dir
-// mode — never on its own: a drained directory just polls for more, so
-// the caller decides when the drain is complete via Caught.
+// ErrSenderClosed), a fencing rejection (returns ErrFenced), a source no
+// retry can read past (returns journal.ErrTailGap, journal.ErrCorrupt,
+// journal.ErrFormatVersion or ErrRecordTooLarge), or — in Dir mode —
+// never on its own: a drained directory just polls for more, so the
+// caller decides when the drain is complete via Caught.
 func (s *Sender) Run() error {
 	attempt := 0
 	for {
@@ -155,7 +156,8 @@ func (s *Sender) Run() error {
 			return err
 		case errors.Is(err, ErrSenderClosed), s.isClosed():
 			return ErrSenderClosed
-		case errors.Is(err, journal.ErrTailGap), errors.Is(err, ErrRecordTooLarge):
+		case errors.Is(err, journal.ErrTailGap), errors.Is(err, journal.ErrCorrupt),
+			errors.Is(err, journal.ErrFormatVersion), errors.Is(err, ErrRecordTooLarge):
 			// Unrecoverable by retrying: the stream cannot make progress.
 			return err
 		}

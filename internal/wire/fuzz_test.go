@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -12,15 +11,6 @@ import (
 	"github.com/nomloc/nomloc/internal/csi"
 	"github.com/nomloc/nomloc/internal/geom"
 )
-
-// frame length-prefixes a raw envelope body the way WriteMessage does,
-// for building seed inputs (including deliberately broken ones).
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(body)))
-	copy(out[4:], body)
-	return out
-}
 
 // encode frames a valid message for the seed corpus.
 func encode(tb testing.TB, msg Message) []byte {
@@ -32,15 +22,10 @@ func encode(tb testing.TB, msg Message) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadMessage throws arbitrary byte streams at the frame decoder.
-// Whatever the input, ReadMessage must never panic, and any message it
-// accepts must survive a write/read round trip unchanged (frames are
-// canonical JSON, so re-encoding an accepted message must re-decode to
-// the same payload).
-func FuzzReadMessage(f *testing.F) {
-	// One valid frame per message type, so the fuzzer starts from every
-	// payload schema.
-	seeds := []Message{
+// validSeeds is one valid message per type, so the fuzzer starts from
+// every body layout.
+func validSeeds() []Message {
+	return []Message{
 		&Hello{Role: RoleAP, ID: "ap1", Pos: geom.V(1, 2), SiteIndex: 3},
 		&HelloAck{OK: true, ServerID: "srv"},
 		&RoundStart{RoundID: 7, ObjectID: "obj", Packets: 25},
@@ -56,18 +41,56 @@ func FuzzReadMessage(f *testing.F) {
 		&ReplBatch{Epoch: 3, Records: []ReplRecord{{Seq: 9, Kind: 4, Payload: []byte{0, 1, 2}}}},
 		&ReplAck{OK: true, Epoch: 3, Seq: 9},
 		&Promote{Epoch: 4},
+		&ReportAck{RoundID: 7, APID: "ap1", SiteIndex: 2},
 	}
-	for _, msg := range seeds {
+}
+
+// brokenFrames are whole frames the decoder must refuse, each with the
+// error it must give.
+func brokenFrames(tb testing.TB) []struct {
+	name string
+	data []byte
+	want error
+} {
+	valid := encode(tb, &HelloAck{OK: true, ServerID: "srv"})
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0x20
+	var oversized []byte // a ReplBatch claiming 2^32-1 records
+	oversized = binary.BigEndian.AppendUint64(oversized, 3)
+	oversized = binary.BigEndian.AppendUint32(oversized, 0xffffffff)
+	return []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"bad crc", badCRC, ErrBadMessage},
+		{"unknown tag", rawFrame(200, nil), ErrUnknownType},
+		{"tag zero", rawFrame(0, nil), ErrUnknownType},
+		{"bad bool", rawFrame(2, append([]byte{2}, valid[10:]...)), ErrBadMessage},
+		{"trailing bytes", rawFrame(2, append(valid[9:], 0)), ErrBadMessage},
+		{"truncated body", rawFrame(2, valid[9:len(valid)-1]), ErrBadMessage},
+		{"oversized count", rawFrame(11, oversized), ErrBadMessage},
+		{"no type byte", []byte{0, 0, 0, 4, 0, 0, 0, 0}, ErrBadMessage},
+	}
+}
+
+// FuzzReadMessage throws arbitrary byte streams at the frame decoder.
+// Whatever the input, ReadMessage must never panic, and any frame it
+// accepts must be canonical: re-encoding the message gives back exactly
+// the bytes read.
+func FuzzReadMessage(f *testing.F) {
+	for _, msg := range validSeeds() {
 		f.Add(encode(f, msg))
 	}
-	// Broken shapes: truncated header, truncated body, oversized length,
-	// non-JSON body, unknown type, wrong payload schema.
+	// Broken shapes: truncated header, truncated stream, oversized
+	// length, then whole frames with a bad CRC, an unknown tag, a bad
+	// bool, trailing bytes, a truncated body and an oversized count.
 	f.Add([]byte{0, 0})
-	f.Add(frame([]byte(`{"type":"hello","payload":{"id"`))[:10])
+	f.Add(encode(f, &Hello{Role: RoleAP, ID: "ap1"})[:10])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(frame([]byte("not json")))
-	f.Add(frame([]byte(`{"type":"warp","payload":{}}`)))
-	f.Add(frame([]byte(`{"type":"round_start","payload":{"roundId":"x"}}`)))
+	for _, b := range brokenFrames(f) {
+		f.Add(b.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))
@@ -81,17 +104,9 @@ func FuzzReadMessage(f *testing.F) {
 		if err := WriteMessage(&buf, msg); err != nil {
 			t.Fatalf("accepted message failed to re-encode: %v", err)
 		}
-		again, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if again.Type() != msg.Type() {
-			t.Fatalf("round trip changed type: %q → %q", msg.Type(), again.Type())
-		}
-		a, _ := json.Marshal(msg)
-		b, _ := json.Marshal(again)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("round trip changed payload:\n%s\n%s", a, b)
+		read := data[:4+binary.BigEndian.Uint32(data)]
+		if !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("accepted frame is not canonical:\nread    %x\nwritten %x", read, buf.Bytes())
 		}
 	})
 }
@@ -145,8 +160,8 @@ func FuzzCorruptedFrames(f *testing.F) {
 	})
 }
 
-// TestReadMessageSeedCorpus replays the checked-in corpus directly so
-// plain `go test` (no -fuzz) exercises the decoder on every seed.
+// TestReadMessageSeedCorpus checks the seed shapes directly, so plain
+// `go test` (no -fuzz) pins what each one must produce.
 func TestReadMessageSeedCorpus(t *testing.T) {
 	// A valid frame decodes; each mutilation fails with a typed error.
 	valid := encode(t, &RoundStart{RoundID: 1, ObjectID: "obj", Packets: 1})
@@ -162,10 +177,9 @@ func TestReadMessageSeedCorpus(t *testing.T) {
 	if _, err := ReadMessage(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized length: %v", err)
 	}
-	if _, err := ReadMessage(bytes.NewReader(frame([]byte("{")))); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("broken envelope: %v", err)
-	}
-	if _, err := ReadMessage(bytes.NewReader(frame([]byte(`{"type":"warp","payload":{}}`)))); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("unknown type: %v", err)
+	for _, b := range brokenFrames(t) {
+		if _, err := ReadMessage(bytes.NewReader(b.data)); !errors.Is(err, b.want) || !IsDecodeError(err) {
+			t.Errorf("%s: err = %v, want %v", b.name, err, b.want)
+		}
 	}
 }

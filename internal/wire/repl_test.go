@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -11,7 +10,7 @@ import (
 func replRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // randBytes draws n pseudo-random payload bytes (full 0..255 range:
-// payloads are binary and cross the envelope as base64).
+// payloads are binary).
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -20,9 +19,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// randString draws n pseudo-random printable-ASCII characters. String
-// fields are JSON text, so only valid UTF-8 round-trips — binary data
-// belongs in ReplRecord.Payload.
+// randString draws n pseudo-random printable-ASCII characters.
 func randString(rng *rand.Rand, n int) string {
 	b := make([]byte, n)
 	for i := range b {
@@ -34,8 +31,7 @@ func randString(rng *rand.Rand, n int) string {
 // TestReplMessagesRoundTrip is the encode/decode property test for the
 // four replication messages: many pseudo-random instances, each written
 // through the real framing and read back, must compare equal field by
-// field (payload bytes included — they cross the JSON envelope as
-// base64).
+// field (payload bytes included).
 func TestReplMessagesRoundTrip(t *testing.T) {
 	rng := replRNG(0x5eed)
 	roundTrip := func(t *testing.T, msg Message) Message {
@@ -51,10 +47,8 @@ func TestReplMessagesRoundTrip(t *testing.T) {
 		if got.Type() != msg.Type() {
 			t.Fatalf("type changed: %q → %q", msg.Type(), got.Type())
 		}
-		a, _ := json.Marshal(msg)
-		b, _ := json.Marshal(got)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("round trip changed %T:\n%s\n%s", msg, a, b)
+		if !sameMessage(msg, got) {
+			t.Fatalf("round trip changed %T:\n%#v\n%#v", msg, msg, got)
 		}
 		return got
 	}
@@ -96,7 +90,7 @@ func TestReplMessagesRoundTrip(t *testing.T) {
 }
 
 // TestReplRecordPayloadBinarySafe pins that arbitrary binary record
-// payloads — including invalid UTF-8 — survive the JSON envelope intact.
+// payloads — including invalid UTF-8 — survive the codec intact.
 func TestReplRecordPayloadBinarySafe(t *testing.T) {
 	payload := []byte{0x00, 0xff, 0xfe, 0x80, 0x7f, '"', '\\', '\n'}
 	var buf bytes.Buffer

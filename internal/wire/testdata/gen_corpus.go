@@ -1,8 +1,8 @@
 //go:build ignore
 
 // gen_corpus.go regenerates the checked-in seed corpora for
-// FuzzReadMessage and the replication-message entries of
-// FuzzCorruptedFrames. Run from the package directory:
+// FuzzReadMessage and FuzzCorruptedFrames. Run from the package
+// directory:
 //
 //	go run testdata/gen_corpus.go
 package main
@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -20,10 +21,13 @@ import (
 	"github.com/nomloc/nomloc/internal/wire"
 )
 
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(body)))
-	copy(out[4:], body)
+// rawFrame frames a hand-built body under a type tag with a valid CRC.
+func rawFrame(tag byte, body []byte) []byte {
+	out := make([]byte, 9, 9+len(body))
+	out[8] = tag
+	out = append(out, body...)
+	binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(out[8:], crc32.MakeTable(crc32.Castagnoli)))
 	return out
 }
 
@@ -52,11 +56,14 @@ func main() {
 		encode(&wire.ReplBatch{Epoch: 3, Records: []wire.ReplRecord{{Seq: 9, Kind: 4, Payload: []byte{0xde, 0xad}}}}),
 		encode(&wire.ReplAck{OK: false, Epoch: 4, Seq: 9, Detail: "fenced: stale epoch"}),
 		encode(&wire.Promote{Epoch: 4}),
+		encode(&wire.ReportAck{RoundID: 7, APID: "ap1", SiteIndex: 2}),
 		{0, 0},
 		{0xff, 0xff, 0xff, 0xff},
-		frame([]byte("not json")),
-		frame([]byte(`{"type":"warp","payload":{}}`)),
-		frame([]byte(`{"type":"round_start","payload":{"roundId":"x"}}`)),
+		badCRC(encode(&wire.HelloAck{OK: true, ServerID: "srv"})),
+		rawFrame(200, nil), // unknown tag, valid CRC
+		rawFrame(2, []byte{2, 0, 0, 0, 0, 0, 0, 0, 0}),                       // HelloAck with a bad bool
+		rawFrame(9, []byte{0, 0, 0, 0, 0}),                                   // ErrorMsg with a trailing byte
+		rawFrame(11, []byte{0, 0, 0, 0, 0, 0, 0, 3, 0xff, 0xff, 0xff, 0xff}), // ReplBatch, oversized count
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzReadMessage")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -71,15 +78,18 @@ func main() {
 	}
 	fmt.Printf("wrote %d corpus entries to %s\n", len(seeds), dir)
 
-	// FuzzCorruptedFrames takes (data, seed, flips) triples; seed-01..03
-	// are hand-written and left alone, the replication messages start at
-	// seed-04.
+	// FuzzCorruptedFrames takes (data, seed, flips) triples.
 	type corrupted struct {
 		data  []byte
 		seed  int64
 		flips int
 	}
-	replSeeds := []corrupted{
+	oversized := encode(&wire.Hello{Role: wire.RoleAP})
+	binary.BigEndian.PutUint32(oversized, 0xffffffff)
+	corruptSeeds := []corrupted{
+		{encode(&wire.ReportAck{RoundID: 7, APID: "ap1", SiteIndex: 2}), 42, 3},
+		{encode(&wire.RoundStart{RoundID: 7}), -9000, 15},
+		{oversized, 1, 0},
 		{encode(&wire.ReplHello{ServerID: "srv", Epoch: 3}), 11, 2},
 		{encode(&wire.ReplBatch{Epoch: 3, Records: []wire.ReplRecord{{Seq: 9, Kind: 4, Payload: []byte{0xde, 0xad}}}}), 12, 5},
 		{encode(&wire.ReplAck{OK: false, Epoch: 4, Seq: 9, Detail: "fenced: stale epoch"}), 13, 3},
@@ -89,12 +99,18 @@ func main() {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	for i, c := range replSeeds {
+	for i, c := range corruptSeeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nint64(%d)\nint(%d)\n", c.data, c.seed, c.flips)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i+4))
+		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i+1))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("wrote %d corpus entries to %s\n", len(replSeeds), dir)
+	fmt.Printf("wrote %d corpus entries to %s\n", len(corruptSeeds), dir)
+}
+
+// badCRC flips one bit of a frame's checksum.
+func badCRC(frame []byte) []byte {
+	frame[4] ^= 1
+	return frame
 }

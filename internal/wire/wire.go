@@ -1,7 +1,15 @@
-// Package wire defines the NomLoc message protocol: length-prefixed JSON
-// frames carrying typed messages between the object, the access points,
-// and the localization server (the three tiers of the paper's Fig. 2
-// architecture).
+// Package wire defines the NomLoc message protocol: length-prefixed,
+// checksummed binary frames carrying typed messages between the object,
+// the access points, and the localization server (the three tiers of the
+// paper's Fig. 2 architecture).
+//
+// A frame is
+//
+//	[u32 len][u32 crc32c][u8 type][body]
+//
+// big-endian, where len counts every byte after itself and the CRC32C
+// (Castagnoli, the journal's checksum) covers the type and the body.
+// codec.go gives the body layout of each message.
 //
 // Topology is hub-and-spoke: every agent connects to the server, which
 // routes probe frames from the object to APs and collects CSI reports.
@@ -9,9 +17,9 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"github.com/nomloc/nomloc/internal/csi"
@@ -68,6 +76,8 @@ var (
 type Message interface {
 	// Type returns the wire tag of the message.
 	Type() MsgType
+	// code walks the message body (codec.go).
+	code(c coder) coder
 }
 
 // Hello announces an agent to the server.
@@ -222,9 +232,9 @@ type ReplHello struct {
 // Type implements Message.
 func (*ReplHello) Type() MsgType { return TypeReplHello }
 
-// ReplRecord is one journal record in transit. Payload rides as base64
-// through the JSON envelope; Kind mirrors journal record kinds without
-// importing the journal package.
+// ReplRecord is one journal record in transit. Payload rides as raw
+// bytes; Kind mirrors journal record kinds without importing the journal
+// package.
 type ReplRecord struct {
 	// Seq is the record's journal sequence number.
 	Seq uint64 `json:"seq"`
@@ -293,64 +303,72 @@ var (
 	_ Message = (*Promote)(nil)
 )
 
-// envelope is the on-wire frame body.
-type envelope struct {
-	Type    MsgType         `json:"type"`
-	Payload json.RawMessage `json:"payload"`
+// msgTypes lists the message types by wire tag: a frame's type byte is
+// the index here. Tags are part of the format: append, never renumber.
+var msgTypes = [...]MsgType{
+	1:  TypeHello,
+	2:  TypeHelloAck,
+	3:  TypeRoundStart,
+	4:  TypeProbeFrame,
+	5:  TypePositionUpdate,
+	6:  TypeCSIReport,
+	7:  TypeReportAck,
+	8:  TypeEstimate,
+	9:  TypeError,
+	10: TypeReplHello,
+	11: TypeReplBatch,
+	12: TypeReplAck,
+	13: TypePromote,
 }
 
-// newByType allocates the concrete message for a wire tag.
-func newByType(t MsgType) (Message, error) {
+// castagnoli is the CRC32C table every frame checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHeaderSize is the length prefix, the CRC and the type byte.
+const frameHeaderSize = 4 + 4 + 1
+
+// newByType allocates the concrete message for a type, or returns nil.
+func newByType(t MsgType) Message {
 	switch t {
 	case TypeHello:
-		return &Hello{}, nil
+		return &Hello{}
 	case TypeHelloAck:
-		return &HelloAck{}, nil
+		return &HelloAck{}
 	case TypeRoundStart:
-		return &RoundStart{}, nil
+		return &RoundStart{}
 	case TypeProbeFrame:
-		return &ProbeFrame{}, nil
+		return &ProbeFrame{}
 	case TypePositionUpdate:
-		return &PositionUpdate{}, nil
+		return &PositionUpdate{}
 	case TypeCSIReport:
-		return &CSIReport{}, nil
+		return &CSIReport{}
 	case TypeReportAck:
-		return &ReportAck{}, nil
+		return &ReportAck{}
 	case TypeEstimate:
-		return &Estimate{}, nil
+		return &Estimate{}
 	case TypeError:
-		return &ErrorMsg{}, nil
+		return &ErrorMsg{}
 	case TypeReplHello:
-		return &ReplHello{}, nil
+		return &ReplHello{}
 	case TypeReplBatch:
-		return &ReplBatch{}, nil
+		return &ReplBatch{}
 	case TypeReplAck:
-		return &ReplAck{}, nil
+		return &ReplAck{}
 	case TypePromote:
-		return &Promote{}, nil
+		return &Promote{}
 	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, t)
+		return nil
 	}
 }
 
-// WriteMessage frames and writes one message: a big-endian uint32 length
-// followed by the JSON envelope.
+// WriteMessage frames msg and writes it with a single Write. A message
+// holding a value the codec refuses (a non-finite position, RSSI or cost;
+// a time the snapshots' JSON cannot carry, see codec.go) is an error and
+// nothing is written.
 func WriteMessage(w io.Writer, msg Message) error {
-	payload, err := json.Marshal(msg)
+	frame, err := encodeFrame(msg)
 	if err != nil {
-		return fmt.Errorf("wire: marshal payload: %w", err)
-	}
-	frame, err := json.Marshal(envelope{Type: msg.Type(), Payload: payload})
-	if err != nil {
-		return fmt.Errorf("wire: marshal envelope: %w", err)
-	}
-	if len(frame) > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(frame))
-	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(frame)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
+		return err
 	}
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
@@ -358,7 +376,33 @@ func WriteMessage(w io.Writer, msg Message) error {
 	return nil
 }
 
-// ReadMessage reads one framed message.
+// encodeFrame renders msg as one whole frame, allocated once: a sizing
+// pass over the body comes first.
+func encodeFrame(msg Message) ([]byte, error) {
+	tag := 0
+	for i, t := range msgTypes {
+		if t == msg.Type() {
+			tag = i
+		}
+	}
+	sizer := msg.code(coder{mode: sizing})
+	if sizer.err != "" {
+		return nil, fmt.Errorf("wire: cannot encode %s: %s", msg.Type(), sizer.err)
+	}
+	n := frameHeaderSize - 4 + sizer.n
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	buf := make([]byte, frameHeaderSize, 4+n)
+	buf[8] = byte(tag)
+	e := msg.code(coder{mode: encoding, buf: buf})
+	binary.BigEndian.PutUint32(e.buf[:4], uint32(n))
+	binary.BigEndian.PutUint32(e.buf[4:8], crc32.Checksum(e.buf[8:], castagnoli))
+	return e.buf, nil
+}
+
+// ReadMessage reads one framed message. A frame that arrives whole but
+// does not decode is an IsDecodeError; the stream stays framed.
 func ReadMessage(r io.Reader) (Message, error) {
 	var header [4]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -379,7 +423,8 @@ func ReadMessage(r io.Reader) (Message, error) {
 // length prefix must describe the remainder exactly. It is the io-free
 // twin of ReadMessage for payloads already in memory — the journal
 // replay path decodes stored reports through it, keeping the replay
-// effect set clean of io (analysis.GateForbidden).
+// effect set clean of io (analysis.GateForbidden). The message never
+// aliases buf.
 func DecodeMessage(buf []byte) (Message, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("%w: short frame header", ErrBadMessage)
@@ -394,18 +439,28 @@ func DecodeMessage(buf []byte) (Message, error) {
 	return decodeFrame(buf[4:])
 }
 
-// decodeFrame unmarshals one frame body (the JSON envelope).
+// decodeFrame checks and decodes what follows a frame's length prefix:
+// the CRC, the type byte and the body, which must be consumed exactly.
 func decodeFrame(frame []byte) (Message, error) {
-	var env envelope
-	if err := json.Unmarshal(frame, &env); err != nil {
-		return nil, fmt.Errorf("%w: envelope: %v", ErrBadMessage, err)
+	if len(frame) < frameHeaderSize-4 {
+		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadMessage, len(frame))
 	}
-	msg, err := newByType(env.Type)
-	if err != nil {
-		return nil, err
+	if crc32.Checksum(frame[4:], castagnoli) != binary.BigEndian.Uint32(frame[:4]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadMessage)
 	}
-	if err := json.Unmarshal(env.Payload, msg); err != nil {
-		return nil, fmt.Errorf("%w: payload for %q: %v", ErrBadMessage, env.Type, err)
+	var msg Message
+	if tag := int(frame[4]); tag < len(msgTypes) {
+		msg = newByType(msgTypes[tag])
+	}
+	if msg == nil {
+		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, frame[4])
+	}
+	d := msg.code(coder{mode: decoding, buf: frame[frameHeaderSize-4:]})
+	if d.err == "" && len(d.buf) > 0 {
+		d.err = fmt.Sprintf("%d trailing bytes", len(d.buf))
+	}
+	if d.err != "" {
+		return nil, fmt.Errorf("%w: %s: %s", ErrBadMessage, msg.Type(), d.err)
 	}
 	return msg, nil
 }
@@ -414,9 +469,9 @@ func decodeFrame(frame []byte) (Message, error) {
 // which the stream is still framed: the broken frame was consumed whole,
 // so the reader may keep going. Transport errors and a too-large length
 // prefix are NOT decode errors — after those the stream is desynced and
-// the session is lost. Chaos-corrupted frames land here, which is what
-// lets the server and agents survive corruption without dropping the
-// session.
+// the session is lost. Chaos-corrupted frames land here — the CRC refuses
+// any corrupted body — which is what lets the server and agents survive
+// corruption without dropping the session.
 func IsDecodeError(err error) bool {
 	return errors.Is(err, ErrBadMessage) || errors.Is(err, ErrUnknownType)
 }

@@ -173,23 +173,26 @@ func TestReadMessageErrors(t *testing.T) {
 	if _, err := ReadMessage(bytes.NewReader(append(hdr[:], 1, 2, 3))); err == nil {
 		t.Error("truncated body accepted")
 	}
-	// Bad JSON.
-	payload := []byte("{not json")
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := ReadMessage(bytes.NewReader(append(hdr[:], payload...))); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("bad json err = %v", err)
+	// Whole frames that fail to decode: a bad CRC, an unknown tag with a
+	// valid CRC, a bad bool, trailing bytes, a truncated body, an
+	// oversized count.
+	for _, b := range brokenFrames(t) {
+		if _, err := ReadMessage(bytes.NewReader(b.data)); !errors.Is(err, b.want) {
+			t.Errorf("%s: err = %v, want %v", b.name, err, b.want)
+		}
 	}
-	// Unknown type.
-	payload = []byte(`{"type":"martian","payload":{}}`)
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := ReadMessage(bytes.NewReader(append(hdr[:], payload...))); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("unknown type err = %v", err)
+	// A decode failure consumes its frame whole: the next frame on the
+	// stream still reads.
+	var stream bytes.Buffer
+	stream.Write(brokenFrames(t)[0].data)
+	if err := WriteMessage(&stream, &ErrorMsg{Detail: "next"}); err != nil {
+		t.Fatal(err)
 	}
-	// Payload shape mismatch.
-	payload = []byte(`{"type":"hello","payload":{"role":42}}`)
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := ReadMessage(bytes.NewReader(append(hdr[:], payload...))); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("bad payload err = %v", err)
+	if _, err := ReadMessage(&stream); !IsDecodeError(err) {
+		t.Fatalf("broken frame: err = %v, want a decode error", err)
+	}
+	if msg, err := ReadMessage(&stream); err != nil || msg.(*ErrorMsg).Detail != "next" {
+		t.Errorf("frame after a broken one: %v, %v", msg, err)
 	}
 }
 
