@@ -38,11 +38,25 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 	in := budgetInputs(t)
 	var buf bytes.Buffer
+	var frames bytes.Reader
+	// A segment roll allocates; this journal never rolls.
+	jnl, err := journal.Open(journal.Options{Dir: t.TempDir(), NoSync: true, SegmentMaxBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	// ReadMessage allocates what DecodeMessage does. Its 0.2 more per call
+	// at 100 packets come with the collections the calls trigger: with
+	// collection off, both make 104.0 allocations of 56,310 B.
 	budgets := []allocBudget{
-		{"wire.WriteMessage/25", 1.5, 13632, func() { buf.Reset(); _ = wire.WriteMessage(&buf, in.report25) }},
-		{"wire.WriteMessage/100", 1.5, 57472, func() { buf.Reset(); _ = wire.WriteMessage(&buf, in.report100) }},
+		{"wire.WriteMessage/25", 0, 0, func() { buf.Reset(); _ = wire.WriteMessage(&buf, in.report25) }},
+		{"wire.WriteMessage/100", 0, 0, func() { buf.Reset(); _ = wire.WriteMessage(&buf, in.report100) }},
+		{"wire.ReadMessage/25", 29.5, 14272, func() { frames.Reset(in.frame25); _, _ = wire.ReadMessage(&frames) }},
+		{"wire.ReadMessage/100", 104.7, 56448, func() { frames.Reset(in.frame100); _, _ = wire.ReadMessage(&frames) }},
 		{"wire.DecodeMessage/25", 29.5, 14272, func() { _, _ = wire.DecodeMessage(in.frame25) }},
 		{"wire.DecodeMessage/100", 104.5, 56384, func() { _, _ = wire.DecodeMessage(in.frame100) }},
+		{"journal.AppendReport/25", 0, 0, func() { _ = jnl.AppendReport("object-1", in.report25) }},
+		{"journal.AppendReport/100", 0, 0, func() { _ = jnl.AppendReport("object-1", in.report100) }},
 		{"journal.ApplyReport", 0, 0, func() { in.history, _ = journal.ApplyReport(in.history, in.history[0], 4) }},
 		{"journal.SolveReports/8", 42.5, 9088, func() { _, _ = journal.SolveReports(in.loc, in.history) }},
 		{"core.EstimatePDP/25", 1.5, 480, func() { _, _ = core.EstimatePDP(&in.report25.Batch) }},

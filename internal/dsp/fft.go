@@ -148,14 +148,88 @@ func chirpApply(x, chirp, filter, a, out []complex128) {
 	for k := range x {
 		a[k] = x[k] * chirp[k]
 	}
-	fftRadix2InPlace(a, false)
+	radix2(a, false)
 	for i := range a {
 		a[i] *= filter[i]
 	}
-	fftRadix2InPlace(a, true)
+	radix2(a, true)
 	invM := complex(1/float64(len(a)), 0)
 	for k := range out {
 		out[k] = a[k] * invM * chirp[k]
+	}
+}
+
+// radix2 runs fftRadix2InPlace's transform of a, from the planned tables
+// when a has length plannedM.
+func radix2(a []complex128, inverse bool) {
+	switch {
+	case len(a) != plannedM:
+		fftRadix2InPlace(a, inverse)
+	case inverse:
+		fftPlanned(a, plannedRev, plannedInv)
+	default:
+		fftPlanned(a, plannedRev, plannedFwd)
+	}
+}
+
+// plannedRev, plannedFwd and plannedInv plan the length-plannedM radix-2
+// transform, which every planned DirectPathPower call runs twice. Like
+// plannedChirp they are written once, at package init.
+var (
+	plannedRev = bitReversal(plannedM)
+	plannedFwd = radixTwiddles(plannedM, false)
+	plannedInv = radixTwiddles(plannedM, true)
+)
+
+// bitReversal returns the bit-reversal permutation of a power-of-two n.
+func bitReversal(n int) []int {
+	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
+	rev := make([]int, n)
+	for i := range rev {
+		rev[i] = int(bits.Reverse(uint(i)) >> shift)
+	}
+	return rev
+}
+
+// radixTwiddles returns the twiddles of a length-n radix-2 transform,
+// stage after stage (half-size 1, 2, 4, …, so the stage of half-size h
+// starts at h−1), derived by the recurrence fftRadix2InPlace runs.
+func radixTwiddles(n int, inverse bool) []complex128 {
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	tw := make([]complex128, 0, n-1)
+	for size := 2; size <= n; size <<= 1 {
+		step := sign * 2 * math.Pi / float64(size)
+		wBase := cmplx.Exp(complex(0, step))
+		w := complex(1, 0)
+		for k := 0; k < size/2; k++ {
+			tw = append(tw, w)
+			w *= wBase
+		}
+	}
+	return tw
+}
+
+// fftPlanned runs fftRadix2InPlace's operations, in its order, from
+// precomputed tables, so its results are bit-identical.
+func fftPlanned(a []complex128, rev []int, tw []complex128) {
+	for i, j := range rev {
+		if i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	for half := 1; half < len(a); half <<= 1 {
+		w := tw[half-1 : 2*half-1]
+		for start := 0; start < len(a); start += 2 * half {
+			for k, wk := range w {
+				even := a[start+k]
+				odd := a[start+k+half] * wk
+				a[start+k] = even + odd
+				a[start+k+half] = even - odd
+			}
+		}
 	}
 }
 

@@ -172,6 +172,48 @@ func TestFFTLinearity(t *testing.T) {
 	}
 }
 
+// TestRadix2Planned pins the planned length-64 transform bit-equal to
+// fftRadix2InPlace in both directions: 40,000 random vectors spanning
+// twelve decades, and vectors holding NaN or an infinity.
+func TestRadix2Planned(t *testing.T) {
+	if len(plannedRev) != plannedM || len(plannedFwd) != plannedM-1 || len(plannedInv) != plannedM-1 {
+		t.Fatalf("plan sizes %d/%d/%d, want %d/%d/%d",
+			len(plannedRev), len(plannedFwd), len(plannedInv), plannedM, plannedM-1, plannedM-1)
+	}
+	rng := rand.New(rand.NewSource(64))
+	var vectors [][]complex128
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 1, 31, 63} {
+			re, im := make([]complex128, plannedM), make([]complex128, plannedM)
+			re[at], im[at] = complex(bad, 1), complex(1, bad)
+			vectors = append(vectors, re, im)
+		}
+	}
+	for i := 0; i < 40000; i++ {
+		scale := math.Pow(10, -6+12*rng.Float64())
+		v := randomVec(rng, plannedM)
+		for k := range v {
+			v[k] *= complex(scale, 0)
+		}
+		vectors = append(vectors, v)
+	}
+	got, want := make([]complex128, plannedM), make([]complex128, plannedM)
+	for _, inverse := range []bool{false, true} {
+		for i, v := range vectors {
+			copy(got, v)
+			copy(want, v)
+			radix2(got, inverse)
+			fftRadix2InPlace(want, inverse)
+			for k := range got {
+				if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+					math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+					t.Fatalf("inverse=%v, vector %d, bin %d: planned %v, reference %v", inverse, i, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 1024} {
 		if !IsPowerOfTwo(n) {

@@ -96,6 +96,7 @@ type Journal struct {
 	metrics *journalMetrics
 
 	mu       sync.Mutex
+	buf      []byte   // record buffer, reused by every append
 	seg      *os.File // active segment, positioned at its end
 	segFirst uint64   // active segment's first record seq
 	segSize  int64    // active segment's current byte size
@@ -270,9 +271,17 @@ func (j *Journal) hookLocked(point string) error {
 	return nil
 }
 
-// append encodes and durably writes one record, rolling the segment when
-// full. It is the single write path every Append* method funnels into.
-func (j *Journal) append(kind Kind, payload []byte) error {
+// payloadFunc appends a record's payload to the record being built.
+type payloadFunc func(dst []byte) ([]byte, error)
+
+// rawPayload is the payloadFunc of an already-encoded payload.
+func rawPayload(p []byte) payloadFunc {
+	return func(dst []byte) ([]byte, error) { return append(dst, p...), nil }
+}
+
+// append durably writes the next record, rolling the segment when full.
+// It is the single write path every Append* method funnels into.
+func (j *Journal) append(kind Kind, payload payloadFunc) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
@@ -281,7 +290,7 @@ func (j *Journal) append(kind Kind, payload []byte) error {
 	case j.broken:
 		return ErrBroken
 	}
-	return j.appendLocked(Record{Seq: j.nextSeq, Kind: kind, Payload: payload})
+	return j.appendLocked(j.nextSeq, kind, payload)
 }
 
 // AppendRaw durably writes one already-sequenced record — the standby's
@@ -300,16 +309,29 @@ func (j *Journal) AppendRaw(rec Record) error {
 	if rec.Seq != j.nextSeq {
 		return fmt.Errorf("%w: got seq %d, want %d", ErrSeqGap, rec.Seq, j.nextSeq)
 	}
-	return j.appendLocked(rec)
+	return j.appendLocked(rec.Seq, rec.Kind, rawPayload(rec.Payload))
 }
 
-// appendLocked is the shared durable-write core: encode, roll when full,
-// write, fsync, then advance nextSeq. rec.Seq must equal j.nextSeq.
-func (j *Journal) appendLocked(rec Record) error {
+// maxKeptRecordBytes bounds the record buffer a journal keeps between
+// appends, so one outsized record does not pin its memory for the
+// journal's lifetime.
+const maxKeptRecordBytes = 64 << 10
+
+// appendLocked is the shared durable-write core: encode the whole record
+// once into the journal's reused buffer, roll when full, write, fsync,
+// then advance nextSeq. seq must equal j.nextSeq.
+func (j *Journal) appendLocked(seq uint64, kind Kind, payload payloadFunc) error {
+	buf, err := payload(beginRecord(j.buf[:0], seq, kind))
+	if err != nil {
+		return err
+	}
+	sealRecord(buf)
+	if cap(buf) <= maxKeptRecordBytes {
+		j.buf = buf[:0]
+	}
 	if err := j.hookLocked(PointAppendBefore); err != nil {
 		return err
 	}
-	buf := appendRecord(nil, rec)
 	if len(buf) > maxRecordBytes {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(buf))
 	}
@@ -339,7 +361,7 @@ func (j *Journal) appendLocked(rec Record) error {
 	}
 	j.segSize += int64(len(buf))
 	j.nextSeq++
-	j.metrics.appended(rec.Kind, len(buf))
+	j.metrics.appended(kind, len(buf))
 	if err := j.hookLocked(PointAppendAfter); err != nil {
 		return err
 	}
@@ -365,58 +387,41 @@ func (j *Journal) rollLocked() error {
 // once, immediately after opening a Fresh journal.
 func (j *Journal) AppendMeta(m Meta) error {
 	m.FormatVersion = FormatVersion
-	payload, err := jsonPayload(m)
-	if err != nil {
-		return err
-	}
-	return j.append(KindMeta, payload)
+	return j.appendJSON(KindMeta, m)
 }
 
 // AppendSessionOpen records one agent session registering.
 func (j *Journal) AppendSessionOpen(role wire.Role, id string) error {
-	payload, err := jsonPayload(SessionEvent{Role: role, ID: id})
-	if err != nil {
-		return err
-	}
-	return j.append(KindSessionOpen, payload)
+	return j.appendJSON(KindSessionOpen, SessionEvent{Role: role, ID: id})
 }
 
 // AppendSessionClose records one agent session ending.
 func (j *Journal) AppendSessionClose(role wire.Role, id string) error {
-	payload, err := jsonPayload(SessionEvent{Role: role, ID: id})
-	if err != nil {
-		return err
-	}
-	return j.append(KindSessionClose, payload)
+	return j.appendJSON(KindSessionClose, SessionEvent{Role: role, ID: id})
 }
 
 // AppendReport records one stored CSI report for objectID. The server
-// calls this BEFORE acknowledging the report — the WAL contract.
+// calls this BEFORE acknowledging the report — the WAL contract. The
+// report is encoded once, straight into the record.
 func (j *Journal) AppendReport(objectID string, rep *wire.CSIReport) error {
-	payload, err := encodeReportPayload(objectID, rep)
-	if err != nil {
-		return err
-	}
-	return j.append(KindReport, payload)
+	return j.append(KindReport, func(dst []byte) ([]byte, error) {
+		return appendReportPayload(dst, objectID, rep)
+	})
 }
 
 // AppendRoundSolved records one successful round solve BEFORE its
 // estimate is broadcast.
 func (j *Journal) AppendRoundSolved(rs RoundSolved) error {
-	payload, err := jsonPayload(rs)
-	if err != nil {
-		return err
-	}
-	return j.append(KindRoundSolved, payload)
+	return j.appendJSON(KindRoundSolved, rs)
 }
 
-// jsonPayload marshals a record payload.
-func jsonPayload(v any) ([]byte, error) {
+// appendJSON durably writes one record whose payload is v as JSON.
+func (j *Journal) appendJSON(kind Kind, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("journal: marshal payload: %w", err)
+		return fmt.Errorf("journal: marshal payload: %w", err)
 	}
-	return payload, nil
+	return j.append(kind, rawPayload(payload))
 }
 
 // Snapshot durably writes st as a snapshot file tagged with st.Seq. The

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,6 +48,13 @@ func testReport(roundID uint64, apID string, site int, nomadic bool, pos geom.Ve
 		Nomadic:   nomadic,
 		Batch:     testBatch(apID),
 	}
+}
+
+// appendRecord encodes rec onto dst as the journal writes it.
+func appendRecord(dst []byte, rec Record) []byte {
+	buf := append(beginRecord(dst, rec.Seq, rec.Kind), rec.Payload...)
+	sealRecord(buf[len(dst):])
+	return buf
 }
 
 // openTest opens a journal under dir with sync disabled (tests exercise
@@ -403,6 +411,68 @@ func TestJournalByteDeterminism(t *testing.T) {
 	}
 }
 
+// TestJournalGolden pins the SHA-256 of every file a fixed append
+// sequence writes: fillJournal, a report whose record outgrows the
+// journal's kept record buffer (which must not stay pinned), a session
+// close through AppendRaw, and a snapshot. Two runs of one build
+// agreeing (TestJournalByteDeterminism) cannot show a change to the
+// bytes both runs share; these digests pin the format across builds,
+// so they change only with FormatVersion.
+func TestJournalGolden(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir, NoSync: true, SegmentMaxBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillJournal(t, j)
+	big := testReport(2, "ap3", 0, false, geom.Vec{X: 11, Y: 1})
+	big.Batch.Samples = nil
+	for i := 0; i < 300; i++ {
+		vec := make([]complex128, csi.DefaultNumSubcarriers)
+		for k := range vec {
+			vec[k] = complex(float64(i), -float64(k))
+		}
+		big.Batch.Samples = append(big.Batch.Samples, csi.Sample{APID: "ap3", Seq: uint64(i), RSSI: -40, CSI: vec})
+	}
+	if err := j.AppendReport("obj1", big); err != nil {
+		t.Fatal(err)
+	}
+	if cap(j.buf) > maxKeptRecordBytes {
+		t.Errorf("the journal kept a %d-byte record buffer, bound %d", cap(j.buf), maxKeptRecordBytes)
+	}
+	if err := j.AppendRaw(Record{Seq: j.LastSeq() + 1, Kind: KindSessionClose, Payload: []byte(`{"role":"object","id":"obj1"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot(j.stateForSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := dirBytes(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"wal-0000000000000001.seg":   "4937d1d1599ce878534282ea9d8b99e65c4cfcca12608ef65ebdd576525836ef",
+		"wal-0000000000000004.seg":   "56362994dc405fbf91ae23bd03a8fce82ac47fce06fccde3b0c0d5409d51b36b",
+		"wal-0000000000000006.seg":   "ec4b572eb75bc303f8a1f84086fb091307d941f862cb2182f93b508ab4f06bb8",
+		"wal-0000000000000007.seg":   "3f2fed352100533327ae3d33a0564d8fb303b709afecc801626143b429603b1e",
+		"snap-0000000000000007.snap": "23cf76533d8a99baf793eb2c085586ab4f16750294ce806ec038ecb44835805e",
+	}
+	for name, data := range files {
+		got := fmt.Sprintf("%x", sha256.Sum256(data))
+		if want[name] != got {
+			t.Errorf("%s: sha256 %s, want %q", name, got, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := files[name]; !ok {
+			t.Errorf("%s: not written", name)
+		}
+	}
+}
+
 // TestCrashHookBreaksJournal: a firing crash hook fails the append, marks
 // the journal broken (every later operation refuses), and recovery of the
 // directory converges back to the pre-crash state.
@@ -705,7 +775,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // lossless.
 func TestReportPayloadRoundTrip(t *testing.T) {
 	rep := testReport(7, "ap9", 3, true, geom.Vec{X: 2.5, Y: 3.5})
-	payload, err := encodeReportPayload("obj-x", rep)
+	payload, err := appendReportPayload(nil, "obj-x", rep)
 	if err != nil {
 		t.Fatal(err)
 	}

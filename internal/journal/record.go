@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -132,27 +131,27 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // recordHeaderSize is the fixed per-record prefix: length (4) + CRC32C (4).
 const recordHeaderSize = 8
 
-// appendRecord encodes rec onto dst:
+// beginRecord starts a record at the end of dst: room for the header,
+// then seq and kind. The payload is appended next, and sealRecord
+// finishes the record:
 //
 //	[len u32][crc32c u32][seq u64][kind u8][payload ...]
 //
 // len counts the body (seq + kind + payload); the CRC covers the body, so
 // a corrupted length shows up as a CRC mismatch at whatever body the bad
 // length delimits.
-func appendRecord(dst []byte, rec Record) []byte {
-	bodyLen := 8 + 1 + len(rec.Payload)
-	var scratch [9]byte
-	binary.BigEndian.PutUint64(scratch[:8], rec.Seq)
-	scratch[8] = byte(rec.Kind)
-	crc := crc32.Update(0, castagnoli, scratch[:])
-	crc = crc32.Update(crc, castagnoli, rec.Payload)
+func beginRecord(dst []byte, seq uint64, kind Kind) []byte {
+	dst = append(dst, make([]byte, recordHeaderSize)...)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	return append(dst, byte(kind))
+}
 
-	var hdr [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(bodyLen))
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, scratch[:]...)
-	return append(dst, rec.Payload...)
+// sealRecord fills in the header of rec, a record begun by beginRecord
+// with its payload appended.
+func sealRecord(rec []byte) {
+	body := rec[recordHeaderSize:]
+	binary.BigEndian.PutUint32(rec[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(body, castagnoli))
 }
 
 // parseRecord decodes one record from the front of buf. It returns the
@@ -183,24 +182,17 @@ func parseRecord(buf []byte) (rec Record, n int, ok bool) {
 	return rec, total, true
 }
 
-// encodeReportPayload renders a KindReport payload: the owning object's
-// ID (the association the wire frame itself does not carry — it comes
-// from the round) followed by the report as a wire frame:
+// appendReportPayload appends a KindReport payload to dst: the owning
+// object's ID (the association the wire frame itself does not carry — it
+// comes from the round) followed by the report as a wire frame:
 //
 //	[objLen u16][objectID ...][wire frame ...]
-func encodeReportPayload(objectID string, rep *wire.CSIReport) ([]byte, error) {
+func appendReportPayload(dst []byte, objectID string, rep *wire.CSIReport) ([]byte, error) {
 	if len(objectID) > 1<<16-1 {
-		return nil, fmt.Errorf("journal: object id %d bytes long", len(objectID))
+		return dst, fmt.Errorf("journal: object id %d bytes long", len(objectID))
 	}
-	var buf bytes.Buffer
-	var pre [2]byte
-	binary.BigEndian.PutUint16(pre[:], uint16(len(objectID)))
-	buf.Write(pre[:])
-	buf.WriteString(objectID)
-	if err := wire.WriteMessage(&buf, rep); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(objectID)))
+	return wire.AppendMessage(append(dst, objectID...), rep)
 }
 
 // decodeReportPayload decodes a KindReport payload back into the owning

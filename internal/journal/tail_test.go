@@ -156,7 +156,7 @@ func forceRoll(t *testing.T, j *Journal) {
 	before := len(segments)
 	payload := make([]byte, 1<<18)
 	for i := 0; i < 64; i++ {
-		if err := j.append(KindSessionOpen, payload); err != nil {
+		if err := j.append(KindSessionOpen, rawPayload(payload)); err != nil {
 			t.Fatal(err)
 		}
 		segments, _, err = listDir(j.opts.Dir)
@@ -192,7 +192,7 @@ func TestTailFollowsAcrossSegmentRoll(t *testing.T) {
 	var got []Record
 	payload := make([]byte, 512)
 	for i := 0; i < 40; i++ {
-		if err := j.append(KindSessionOpen, payload); err != nil {
+		if err := j.append(KindSessionOpen, rawPayload(payload)); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, drainTail(t, tail)...)
@@ -236,7 +236,7 @@ func TestTailConcurrentAppend(t *testing.T) {
 		defer wg.Done()
 		payload := make([]byte, 128)
 		for i := 0; i < total; i++ {
-			if aerr := j.append(KindSessionOpen, payload); aerr != nil {
+			if aerr := j.append(KindSessionOpen, rawPayload(payload)); aerr != nil {
 				t.Errorf("append %d: %v", i, aerr)
 				return
 			}

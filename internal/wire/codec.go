@@ -152,7 +152,7 @@ func (c *coder) pos(v *geom.Vec) {
 // count codes a slice length: n itself when sizing or encoding, the
 // decoded count when decoding, checked against the bytes left for
 // elements of at least size bytes each. A count past u32 cannot fit a
-// frame, so encodeFrame's MaxFrameBytes check refuses it before anything
+// frame, so AppendMessage's MaxFrameBytes check refuses it before anything
 // is written.
 func (c *coder) count(n, size int) int {
 	v := uint32(n)

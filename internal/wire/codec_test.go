@@ -185,13 +185,15 @@ func (g msgGen) message(t MsgType) Message {
 }
 
 // TestCodecRoundTrip is the codec's property test over all 13 message
-// types: decode(encode(m)) equals m, and encode(decode(f)) == f.
+// types: decode(encode(m)) equals m, encode(decode(f)) == f, and the
+// decoded message still equals m once every byte of f is overwritten —
+// it never aliases its frame.
 func TestCodecRoundTrip(t *testing.T) {
 	g := msgGen{rand.New(rand.NewSource(17))}
 	for trial := 0; trial < 300; trial++ {
 		for _, typ := range msgTypes[1:] {
 			m := g.message(typ)
-			frame, err := encodeFrame(m)
+			frame, err := AppendMessage(nil, m)
 			if err != nil {
 				t.Fatalf("encode %s: %v", typ, err)
 			}
@@ -202,12 +204,18 @@ func TestCodecRoundTrip(t *testing.T) {
 			if !sameMessage(m, got) {
 				t.Fatalf("%s changed in a round trip:\n%#v\n%#v", typ, m, got)
 			}
-			again, err := encodeFrame(got)
+			again, err := AppendMessage(nil, got)
 			if err != nil {
 				t.Fatalf("re-encode %s: %v", typ, err)
 			}
 			if !bytes.Equal(again, frame) {
 				t.Fatalf("%s: encode(decode(f)) != f", typ)
+			}
+			for i := range frame {
+				frame[i] = ^frame[i]
+			}
+			if !sameMessage(m, got) {
+				t.Fatalf("%s changed when its frame was overwritten:\n%#v\n%#v", typ, m, got)
 			}
 		}
 	}

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 
 	"github.com/nomloc/nomloc/internal/csi"
 	"github.com/nomloc/nomloc/internal/geom"
@@ -361,24 +363,41 @@ func newByType(t MsgType) Message {
 	}
 }
 
-// WriteMessage frames msg and writes it with a single Write. A message
-// holding a value the codec refuses (a non-finite position, RSSI or cost;
-// a time the snapshots' JSON cannot carry, see codec.go) is an error and
-// nothing is written.
+// framePool lends frame buffers to WriteMessage and ReadMessage, so a
+// frame on its way through costs no allocation. It holds *[]byte: putting
+// a plain slice back would allocate its header. headerPool lends
+// ReadMessage the buffer for a length prefix, which escapes through the
+// io.Reader; a reader idling in that read holds only these 4 bytes, not
+// a frame-sized buffer.
+var (
+	framePool  = sync.Pool{New: func() any { return new([]byte) }}
+	headerPool = sync.Pool{New: func() any { return new([4]byte) }}
+)
+
+// WriteMessage frames msg into a pooled buffer and writes it with a
+// single Write. The buffer is reused once Write returns, so w must not
+// retain the slice it is given — io.Writer's own rule, which net.Conn,
+// bytes.Buffer and os.File keep. A message holding a value the codec
+// refuses (a non-finite position, RSSI or cost; a time the snapshots'
+// JSON cannot carry, see codec.go) is an error and nothing is written.
 func WriteMessage(w io.Writer, msg Message) error {
-	frame, err := encodeFrame(msg)
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	frame, err := AppendMessage((*bp)[:0], msg)
 	if err != nil {
 		return err
 	}
+	*bp = frame
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
-// encodeFrame renders msg as one whole frame, allocated once: a sizing
-// pass over the body comes first.
-func encodeFrame(msg Message) ([]byte, error) {
+// AppendMessage appends msg's whole frame to dst and returns the extended
+// slice. A sizing pass over the body comes first, so dst grows at most
+// once. On error dst is returned unchanged.
+func AppendMessage(dst []byte, msg Message) ([]byte, error) {
 	tag := 0
 	for i, t := range msgTypes {
 		if t == msg.Type() {
@@ -387,36 +406,44 @@ func encodeFrame(msg Message) ([]byte, error) {
 	}
 	sizer := msg.code(coder{mode: sizing})
 	if sizer.err != "" {
-		return nil, fmt.Errorf("wire: cannot encode %s: %s", msg.Type(), sizer.err)
+		return dst, fmt.Errorf("wire: cannot encode %s: %s", msg.Type(), sizer.err)
 	}
 	n := frameHeaderSize - 4 + sizer.n
 	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, frameHeaderSize, 4+n)
-	buf[8] = byte(tag)
-	e := msg.code(coder{mode: encoding, buf: buf})
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(n))
-	binary.BigEndian.PutUint32(e.buf[4:8], crc32.Checksum(e.buf[8:], castagnoli))
-	return e.buf, nil
+	start := len(dst)
+	buf := slices.Grow(dst, 4+n)[:start+frameHeaderSize]
+	buf[start+8] = byte(tag)
+	buf = msg.code(coder{mode: encoding, buf: buf}).buf
+	frame := buf[start:]
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
+	return buf, nil
 }
 
-// ReadMessage reads one framed message. A frame that arrives whole but
-// does not decode is an IsDecodeError; the stream stays framed.
+// ReadMessage reads one framed message into pooled buffers, which are
+// reused once the frame is decoded: a decoded message never aliases its
+// frame. A frame that arrives whole but does not decode is an
+// IsDecodeError; the stream stays framed.
 func ReadMessage(r io.Reader) (Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	header := headerPool.Get().(*[4]byte)
+	_, err := io.ReadFull(r, header[:])
+	n := binary.BigEndian.Uint32(header[:])
+	headerPool.Put(header)
+	if err != nil {
 		return nil, err // preserve io.EOF for clean-shutdown detection
 	}
-	n := binary.BigEndian.Uint32(header[:])
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	*bp = slices.Grow((*bp)[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, *bp); err != nil {
 		return nil, fmt.Errorf("wire: read frame body: %w", err)
 	}
-	return decodeFrame(frame)
+	return decodeFrame(*bp)
 }
 
 // DecodeMessage decodes one framed message from an in-memory buffer: the
@@ -441,6 +468,8 @@ func DecodeMessage(buf []byte) (Message, error) {
 
 // decodeFrame checks and decodes what follows a frame's length prefix:
 // the CRC, the type byte and the body, which must be consumed exactly.
+// The message never aliases frame: the codec copies strings, byte slices
+// and CSI out of it.
 func decodeFrame(frame []byte) (Message, error) {
 	if len(frame) < frameHeaderSize-4 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadMessage, len(frame))
